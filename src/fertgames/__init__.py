@@ -19,7 +19,6 @@ from .core import (
 from .errors import (
     BoundaryStatics,
     BracketingFailure,
-    CostMismatch,
     DomainError,
     HouseholdSolveFailure,
     InvalidDistribution,
@@ -28,6 +27,7 @@ from .errors import (
     NonFiniteObjective,
     NonPositiveParameter,
     NonPositiveTransfer,
+    NumericalFailure,
     ParseError,
     PreferenceOrderViolated,
     ScenarioError,
@@ -76,7 +76,6 @@ __all__ = [
     "BenchmarkSolution",
     "BoundaryStatics",
     "BracketingFailure",
-    "CostMismatch",
     "CubicFOC",
     "DomainError",
     "ExtendedEquilibrium",
@@ -90,6 +89,7 @@ __all__ = [
     "NonFiniteObjective",
     "NonPositiveParameter",
     "NonPositiveTransfer",
+    "NumericalFailure",
     "ParseError",
     "PopulationSpec",
     "PreferenceOrderViolated",

@@ -25,20 +25,24 @@ from .errors import (
     MissingKey,
     ModelError,
     NonFiniteObjective,
+    NumericalFailure,
     ParseError,
     ScenarioError,
     UnknownKey,
 )
-from .extended import solve_extended
+from .extended import REGIMES, solve_extended
 from .game import fertility_threshold, solve_game
-from .oracle import oracle_game
-from .population import AggregateReport, LogNormalSpec, PopulationSpec, aggregate
+from .population import (
+    MODELS,
+    AggregateReport,
+    LogNormalSpec,
+    PopulationSpec,
+    aggregate,
+    check_subsidy,
+)
 from .svg import line_chart
 
 OUTPUT_DIR_ENV = "FERTGAMES_OUTDIR"
-
-MODELS = ("benchmark", "game", "extended")
-REGIMES = ("low", "high")
 
 _NUMERIC_KEYS = ("alpha", "delta", "gamma", "beta", "a_w", "a_m", "subsidy")
 _KNOWN_KEYS = ("model",) + _NUMERIC_KEYS + ("regime", "seed")
@@ -58,6 +62,7 @@ SOLVE_HEADER = (
     "model,rho_star,n_star,c_w,c_m,u_w,u_m,"
     "wife_participates,husband_participates,interior"
 )
+_N_STAR = SOLVE_HEADER.split(",").index("n_star")
 
 
 @dataclass(frozen=True)
@@ -150,35 +155,26 @@ def _row(*cells) -> str:
     return ",".join(_fmt(c) for c in cells)
 
 
-def _solve_rows(cfg: ScenarioConfig) -> list[str]:
+def _solve(cfg: ScenarioConfig) -> tuple[str, tuple]:
+    """Header and cells of the one-row solve table."""
     p = validate_params(cfg.params)
-    if cfg.subsidy < 0:
-        raise ScenarioError(f"subsidy must be >= 0, got {cfg.subsidy!r}")
-    if cfg.subsidy > 0 and cfg.model != "game":
-        raise ScenarioError("subsidy is only supported for the game model")
+    check_subsidy(cfg.model, cfg.subsidy)
 
     if cfg.model == "benchmark":
         sol = benchmark_solve(p)
         u_w, u_m = utility_log_pair(p, sol.c_w, sol.c_m, sol.n_star)
-        return [
-            SOLVE_HEADER,
-            _row("benchmark", None, sol.n_star, sol.c_w, sol.c_m, u_w, u_m,
-                 None, None, sol.n_star > 0),
-        ]
+        return SOLVE_HEADER, ("benchmark", None, sol.n_star, sol.c_w, sol.c_m,
+                              u_w, u_m, None, None, sol.n_star > 0)
     if cfg.model == "game":
-        eq = oracle_game(p, subsidy=cfg.subsidy) if cfg.subsidy > 0 else solve_game(p)
-        return [
-            SOLVE_HEADER,
-            _row("game", eq.rho_star, eq.n_star, eq.c_w, eq.c_m, eq.u_w, eq.u_m,
-                 eq.wife_participates, eq.husband_participates, eq.interior),
-        ]
+        eq = solve_game(p, cfg.subsidy)
+        return SOLVE_HEADER, ("game", eq.rho_star, eq.n_star, eq.c_w, eq.c_m,
+                              eq.u_w, eq.u_m, eq.wife_participates,
+                              eq.husband_participates, eq.interior)
     ext = solve_extended(p, cfg.regime)
-    return [
-        SOLVE_HEADER + ",regime,root_count",
-        _row("extended", ext.selected_rho, ext.n_star, ext.c_w, ext.c_m,
-             ext.u_w, ext.u_m, ext.wife_participates, ext.husband_participates,
-             ext.interior, ext.regime, len(ext.positive_roots)),
-    ]
+    return SOLVE_HEADER + ",regime,root_count", (
+        "extended", ext.selected_rho, ext.n_star, ext.c_w, ext.c_m, ext.u_w,
+        ext.u_m, ext.wife_participates, ext.husband_participates, ext.interior,
+        ext.regime, len(ext.positive_roots))
 
 
 def _statics_rows(cfg: ScenarioConfig) -> list[str]:
@@ -220,12 +216,12 @@ def _sweep_rows(cfg: ScenarioConfig, param: str, lo: float, hi: float,
             step_cfg = replace(cfg, subsidy=value)
         else:
             step_cfg = replace(cfg, params=replace(cfg.params, **{param: value}))
-        solved = _solve_rows(step_cfg)
+        header, cells = _solve(step_cfg)
         if i == 0:
-            rows.append("param_value," + solved[0])
-        rows.append(_fmt(value) + "," + solved[1])
+            rows.append("param_value," + header)
+        rows.append(_row(value, *cells))
         xs.append(value)
-        ns.append(float(solved[1].split(",")[2]))
+        ns.append(cells[_N_STAR])
     return rows, xs, ns
 
 
@@ -334,7 +330,8 @@ def run_command(argv: list[str]) -> int:
     try:
         cfg = _load_scenario(args.scenario)
         if args.command == "solve":
-            _emit(_solve_rows(cfg), None)
+            header, cells = _solve(cfg)
+            _emit([header, _row(*cells)], None)
         elif args.command == "statics":
             _emit(_statics_rows(cfg), None)
         elif args.command == "sweep":
@@ -348,17 +345,14 @@ def run_command(argv: list[str]) -> int:
         elif args.command == "threshold":
             if cfg.model != "game":
                 raise ScenarioError("threshold requires a game-model scenario")
-            # Tighter than the library default so 12-digit output is stable.
-            value = fertility_threshold(
-                validate_params(cfg.params), over=args.param, rtol=1e-13
-            )
+            value = fertility_threshold(validate_params(cfg.params), over=args.param)
             _emit(["param,threshold", _row(args.param, value)], None)
         elif args.command == "population":
             _emit(_population_rows(cfg, args), None)
         else:  # pragma: no cover - argparse enforces the choices
             raise ScenarioError(f"unknown command {args.command!r}")
     except (BracketingFailure, BoundaryStatics, NonFiniteObjective,
-            HouseholdSolveFailure) as exc:
+            NumericalFailure, HouseholdSolveFailure) as exc:
         print(f"fertgames: solver failure: {exc}", file=sys.stderr)
         return 3
     except (ModelError, ValueError) as exc:

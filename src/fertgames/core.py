@@ -20,15 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    CostMismatch,
-    DomainError,
-    NonPositiveParameter,
-    PreferenceOrderViolated,
-)
+from .errors import DomainError, NonPositiveParameter, PreferenceOrderViolated
 
-# Relative tolerance for the beta = beta_w + beta_m identity.
-COST_SPLIT_RTOL = 1e-12
+# Slack for the weak participation inequalities, so an agent exactly at the
+# reservation utility counts as participating.
+PARTICIPATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,11 +34,9 @@ class ModelParams:
     alpha:  husband's per-child utility weight
     delta:  wife's per-child disutility weight
     gamma:  wife's consumption utility weight (husband's is normalized to 1)
-    beta:   total rearing cost per child, split as beta_w + beta_m
+    beta:   rearing cost per child
     a_w:    wife's income
     a_m:    husband's income
-    beta_w, beta_m: per-spouse rearing costs; omitted values default to an
-        even split of ``beta``.
     """
 
     alpha: float
@@ -51,17 +45,6 @@ class ModelParams:
     beta: float
     a_w: float
     a_m: float
-    beta_w: float | None = None
-    beta_m: float | None = None
-
-    def __post_init__(self):
-        if self.beta_w is None and self.beta_m is None:
-            object.__setattr__(self, "beta_w", 0.5 * self.beta)
-            object.__setattr__(self, "beta_m", self.beta - 0.5 * self.beta)
-        elif self.beta_w is None:
-            object.__setattr__(self, "beta_w", self.beta - self.beta_m)
-        elif self.beta_m is None:
-            object.__setattr__(self, "beta_m", self.beta - self.beta_w)
 
     @property
     def total_income(self) -> float:
@@ -91,23 +74,14 @@ class BenchmarkSolution:
 
 
 def validate_params(raw: ModelParams) -> ModelParams:
-    """Check positivity and the rearing-cost split; return the params unchanged.
+    """Check that every parameter is finite and positive; return them unchanged.
 
-    Raises NonPositiveParameter naming the offending field, or CostMismatch
-    when beta does not equal beta_w + beta_m to relative 1e-12.
+    Raises NonPositiveParameter naming the offending field.
     """
     for name in ("alpha", "delta", "gamma", "beta", "a_w", "a_m"):
         value = getattr(raw, name)
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
             raise NonPositiveParameter(name, value)
-    for name in ("beta_w", "beta_m"):
-        value = getattr(raw, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-            raise NonPositiveParameter(name, value, requirement=">= 0")
-    if abs(raw.beta - (raw.beta_w + raw.beta_m)) > COST_SPLIT_RTOL * abs(raw.beta):
-        raise CostMismatch(
-            f"beta={raw.beta!r} but beta_w + beta_m = {raw.beta_w + raw.beta_m!r}"
-        )
     return raw
 
 
@@ -143,6 +117,19 @@ def utility_linear_pair(
     u_w = p.gamma * math.log(c_w) - p.delta * n
     u_m = math.log(c_m) + p.alpha * n
     return u_w, u_m
+
+
+def participation(p: ModelParams, u_w: float, u_m: float) -> tuple[bool, bool]:
+    """Whether each spouse does at least as well as the no-birth outcome.
+
+    The reservation utilities are those of consuming one's own income with
+    no children, ``gamma*ln(a_w)`` for the wife and ``ln(a_m)`` for the
+    husband; ``u_w`` and ``u_m`` come from :func:`utility_linear_pair`.
+    """
+    return (
+        u_w >= p.gamma * math.log(p.a_w) - PARTICIPATION_TOL,
+        u_m >= math.log(p.a_m) - PARTICIPATION_TOL,
+    )
 
 
 def benchmark_solve(p: ModelParams) -> BenchmarkSolution:

@@ -14,10 +14,6 @@ class NonPositiveParameter(ModelError):
         super().__init__(f"parameter {field!r} must be {requirement}, got {value!r}")
 
 
-class CostMismatch(ModelError):
-    """Total rearing cost does not equal the sum of the per-spouse costs."""
-
-
 class DomainError(ModelError):
     """Utility evaluated outside its domain (log of a non-positive value)."""
 
@@ -42,6 +38,11 @@ class BoundaryStatics(ModelError):
 
 class StepTooLarge(ModelError):
     """Finite-difference step is too coarse relative to the evaluation point."""
+
+
+class NumericalFailure(ModelError):
+    """A valid input drives an intermediate value outside the floating-point
+    range, so no answer can be computed to the printed precision."""
 
 
 class NonFiniteObjective(ModelError):

@@ -13,19 +13,18 @@ his first-order condition a quadratic in ``rho``:
 whose unique positive root is the equilibrium transfer. Fertility is positive
 exactly when the wife's income is below the critical level
 ``alpha*gamma*a_m/delta``; past it she stays childless no matter the offer.
+A per-child subsidy paid to the wife from outside the household turns the
+condition into the leader cubic shared with the extended game.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .core import ModelParams, utility_linear_pair, validate_params
-from .errors import BracketingFailure, NonPositiveTransfer
-
-# Slack for the weak participation inequalities, so an agent exactly at the
-# reservation utility counts as participating.
-PARTICIPATION_TOL = 1e-12
+from .core import ModelParams, participation, utility_linear_pair, validate_params
+from .errors import BracketingFailure, NonPositiveParameter, NonPositiveTransfer
+from .extended import leader_optimum
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,11 @@ class ReactionDecomposition:
 class GameEquilibrium:
     """Equilibrium outcome of the transfer game.
 
-    ``rho_star`` is always the positive root of the husband's first-order
-    quadratic. At a corner (``interior`` false) no transfer changes the
-    outcome, so the formal root is reported for transparency while the
-    allocation is simply the endowment point.
+    Without a subsidy ``rho_star`` is always the positive root of the
+    husband's first-order quadratic. At a corner (``interior`` false) no
+    transfer changes the outcome, so the formal root is reported for
+    transparency while the allocation is simply the endowment point. With a
+    subsidy ``rho_star`` is the transfer he pays, 0 at the corner.
     """
 
     rho_star: float
@@ -91,28 +91,34 @@ def equilibrium_transfer(p: ModelParams) -> float:
     return q / (half + math.sqrt(half * half + q))
 
 
-def solve_game(p: ModelParams) -> GameEquilibrium:
+def solve_game(p: ModelParams, subsidy: float = 0.0) -> GameEquilibrium:
     """Full equilibrium of the transfer game.
 
     Computes the optimal transfer, the wife's response to it, budget-exact
     consumptions and both utilities. Participation compares each spouse to
     the no-birth outcome (consuming own income, zero children); both hold
     automatically since refusing is always available to each side.
+
+    A per-child ``subsidy`` is paid to the wife from outside the household:
+    she receives ``rho + subsidy`` per child while the husband still pays
+    only ``rho``. His first-order condition is then the leader cubic of
+    :mod:`fertgames.extended` with ``k = -subsidy``, and ``rho_star`` is 0
+    when he pays nothing, at the boundary or the no-birth corner.
     """
-    rho = equilibrium_transfer(p)
-    reaction = wife_reaction(p, rho)
-    n = reaction.n
-    if n > 0:
+    if not (isinstance(subsidy, (int, float)) and math.isfinite(subsidy) and subsidy >= 0):
+        raise NonPositiveParameter("subsidy", subsidy, requirement=">= 0")
+    if subsidy > 0:
+        validate_params(p)
+        _, rho, n, c_w, c_m = leader_optimum(p, 0.0, subsidy)
+        if rho is None:
+            rho = 0.0
+    else:
+        rho = equilibrium_transfer(p)
+        n = wife_reaction(p, rho).n
         c_w = p.a_w + rho * n
         c_m = p.a_m - rho * n
-        interior = True
-    else:
-        c_w = p.a_w
-        c_m = p.a_m
-        interior = False
     u_w, u_m = utility_linear_pair(p, c_w, c_m, n)
-    reservation_w = p.gamma * math.log(p.a_w)
-    reservation_m = math.log(p.a_m)
+    wife, husband = participation(p, u_w, u_m)
     return GameEquilibrium(
         rho_star=rho,
         n_star=n,
@@ -120,20 +126,10 @@ def solve_game(p: ModelParams) -> GameEquilibrium:
         c_m=c_m,
         u_w=u_w,
         u_m=u_m,
-        wife_participates=u_w >= reservation_w - PARTICIPATION_TOL,
-        husband_participates=u_m >= reservation_m - PARTICIPATION_TOL,
-        interior=interior,
+        wife_participates=wife,
+        husband_participates=husband,
+        interior=n > 0,
     )
-
-
-def interior_margin(p: ModelParams) -> float:
-    """Unclamped fertility at the equilibrium transfer, ``gamma/delta - a_w/rho*``.
-
-    Positive below the fertility threshold, negative above it; used as the
-    bracketing function when locating the threshold by bisection.
-    """
-    rho = equilibrium_transfer(p)
-    return p.gamma / p.delta - p.a_w / rho
 
 
 def fertility_threshold(
@@ -144,55 +140,19 @@ def fertility_threshold(
 ) -> float:
     """Critical wife income at which equilibrium fertility first hits zero.
 
-    Bisects the unclamped fertility margin in ``a_w`` (the clamped n* itself
-    has no sign change to track). Closed form, obtained by substituting
-    ``rho* = a_w*delta/gamma`` into the husband's quadratic:
+    Fertility vanishes where ``rho* = a_w*delta/gamma``; substituting this
+    into the husband's quadratic gives the closed form
 
-        a_w_crit = alpha*gamma*a_m/delta
+        a_w_crit = alpha*gamma*a_m/delta.
 
-    The bisection result is cross-checked against it before returning.
-
-    ``hi`` optionally fixes the upper end of the search interval; when the
-    margin has no sign change on ``[lo, hi]`` a BracketingFailure is raised.
-    By default the interval expands geometrically until it brackets.
+    ``hi`` optionally bounds the wife's income from above; a
+    BracketingFailure is raised when the threshold is not below it. ``rtol``
+    is ignored: the closed form is exact to rounding.
     """
     validate_params(p)
     if over != "a_w":
         raise ValueError(f"threshold search only supports 'a_w', got {over!r}")
-
-    def margin(a_w: float) -> float:
-        return interior_margin(replace(p, a_w=a_w))
-
-    lo = 1e-12 * p.a_m
-    if margin(lo) <= 0:
-        raise BracketingFailure(f"fertility margin not positive at a_w={lo!r}")
-    if hi is None:
-        hi = p.a_m
-        for _ in range(1024):
-            if margin(hi) < 0:
-                break
-            hi *= 2.0
-        else:  # pragma: no cover - margin provably turns negative
-            raise BracketingFailure("fertility margin never became negative")
-    elif margin(hi) >= 0:
-        raise BracketingFailure(
-            f"no sign change of the fertility margin on [{lo!r}, {hi!r}]"
-        )
-
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if margin(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-
-    closed_form = p.alpha * p.gamma * p.a_m / p.delta
-    if abs(root - closed_form) > 10.0 * rtol * closed_form:
-        raise BracketingFailure(
-            f"bisection threshold {root!r} disagrees with the closed form "
-            f"{closed_form!r}"
-        )
-    return root
+    threshold = p.alpha * p.gamma * p.a_m / p.delta
+    if hi is not None and not threshold < hi:
+        raise BracketingFailure(f"fertility threshold {threshold!r} is not below {hi!r}")
+    return threshold

@@ -8,10 +8,10 @@ cell first, which guards the golden-section step against spurious local
 maxima; plateaus (clamped no-birth regions) resolve to the first grid point
 of the plateau, deterministically.
 
-The subsidy-augmented game has no closed form at all, so the oracle is also
-its production solver: a per-child subsidy paid to the wife from outside the
-household raises her effective transfer to ``rho + subsidy`` while the
-husband still pays only ``rho`` per child.
+Only tests use these searches. :func:`oracle_game` certifies the subsidized
+game, which production solves through the leader cubic: a per-child subsidy
+paid to the wife from outside the household raises her effective transfer to
+``rho + subsidy`` while the husband still pays only ``rho`` per child.
 """
 
 from __future__ import annotations
@@ -19,9 +19,15 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import BenchmarkSolution, ModelParams, utility_linear_pair, validate_params
+from .core import (
+    BenchmarkSolution,
+    ModelParams,
+    participation,
+    utility_linear_pair,
+    validate_params,
+)
 from .errors import NonFiniteObjective, PreferenceOrderViolated
-from .game import GameEquilibrium, PARTICIPATION_TOL
+from .game import GameEquilibrium
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -179,7 +185,7 @@ def game_transfer_ceiling(p: ModelParams, subsidy: float = 0.0) -> float:
 def oracle_game(
     p: ModelParams, subsidy: float = 0.0, rtol: float = 1e-10
 ) -> GameEquilibrium:
-    """Transfer-game equilibrium found by direct search, no closed form.
+    """Transfer-game equilibrium found by direct search.
 
     The wife's effective per-child receipt is ``rho + subsidy``; the subsidy
     is funded outside the household, so the husband's budget still deducts
@@ -207,6 +213,7 @@ def oracle_game(
     else:
         c_w, c_m, interior = p.a_w, p.a_m, False
     u_w, u_m = utility_linear_pair(p, c_w, c_m, n)
+    wife, husband = participation(p, u_w, u_m)
     return GameEquilibrium(
         rho_star=rho,
         n_star=n,
@@ -214,8 +221,8 @@ def oracle_game(
         c_m=c_m,
         u_w=u_w,
         u_m=u_m,
-        wife_participates=u_w >= p.gamma * math.log(p.a_w) - PARTICIPATION_TOL,
-        husband_participates=u_m >= math.log(p.a_m) - PARTICIPATION_TOL,
+        wife_participates=wife,
+        husband_participates=husband,
         interior=interior,
     )
 

@@ -3,10 +3,11 @@
 Households draw incomes from log-normal distributions and preferences from
 fixed values or uniform ranges, each household seeded independently from
 (seed, index) so parallel and serial generation agree bit for bit. Every
-household is solved under the configured model; a positive subsidy routes
-through the search-based game solver, since the subsidized game has no
-closed form. The subsidy is funded from general revenue: it raises the
-wife's effective per-child receipt without touching either spouse's budget.
+household is solved under the configured model; a positive subsidy is
+solvable under the transfer game, where it turns the husband's first-order
+condition into the leader cubic of :mod:`fertgames.extended`. The subsidy is
+funded from general revenue: it raises the wife's effective per-child
+receipt without touching either spouse's budget.
 
 Aggregates focus on the relative-income story: fertility by wife-to-husband
 income-ratio decile falls as the ratio rises, and the childless share tracks
@@ -17,17 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import ModelParams, benchmark_solve, validate_params
 from .errors import HouseholdSolveFailure, InvalidDistribution, ModelError
-from .extended import solve_extended
+from .extended import REGIMES, solve_extended
 from .game import solve_game
-from .oracle import oracle_game
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODELS = ("benchmark", "game", "extended")
-REGIMES = ("low", "high")
 
 # A preference entry is either a fixed value or a (lo, hi) uniform range.
 PreferenceDist = float | tuple[float, float]
@@ -89,6 +90,17 @@ def _check_dist(name: str, dist: PreferenceDist) -> None:
         raise InvalidDistribution(f"{name}: unsupported distribution {dist!r}")
 
 
+def check_subsidy(model: str, subsidy: float) -> None:
+    """Reject a negative or non-finite subsidy, or one under a model other
+    than the transfer game, which is the only one that takes a subsidy."""
+    if not (math.isfinite(subsidy) and subsidy >= 0):
+        raise InvalidDistribution(f"subsidy must be >= 0, got {subsidy!r}")
+    if subsidy > 0 and model != "game":
+        raise InvalidDistribution(
+            "subsidies are only solvable under the transfer game"
+        )
+
+
 def validate_spec(spec: PopulationSpec) -> PopulationSpec:
     if not (isinstance(spec.count, int) and spec.count >= 1):
         raise InvalidDistribution(f"count must be an integer >= 1, got {spec.count!r}")
@@ -103,12 +115,7 @@ def validate_spec(spec: PopulationSpec) -> PopulationSpec:
         raise InvalidDistribution(f"model must be one of {MODELS}, got {spec.model!r}")
     if spec.regime not in REGIMES:
         raise InvalidDistribution(f"regime must be one of {REGIMES}, got {spec.regime!r}")
-    if not (math.isfinite(spec.subsidy) and spec.subsidy >= 0):
-        raise InvalidDistribution(f"subsidy must be >= 0, got {spec.subsidy!r}")
-    if spec.subsidy > 0 and spec.model != "game":
-        raise InvalidDistribution(
-            "subsidies are only solvable under the transfer game"
-        )
+    check_subsidy(spec.model, spec.subsidy)
     return spec
 
 
@@ -121,6 +128,10 @@ def _draw_pref(rng: np.random.Generator, dist: PreferenceDist) -> float:
 
 def sample_household(spec: PopulationSpec, index: int) -> ModelParams:
     """Draw household ``index``; depends only on (seed, index)."""
+    # Imported here so that processes which only solve never load numpy,
+    # the largest part of the package's import time and memory.
+    import numpy as np
+
     rng = np.random.default_rng([spec.seed, index])
     a_w = float(np.exp(spec.aw_dist.mu + spec.aw_dist.sigma * rng.standard_normal()))
     a_m = float(np.exp(spec.am_dist.mu + spec.am_dist.sigma * rng.standard_normal()))
@@ -145,10 +156,7 @@ def _solve_household(spec: PopulationSpec, p: ModelParams) -> tuple[float, float
     if spec.model == "benchmark":
         return benchmark_solve(p).n_star, None
     if spec.model == "game":
-        if spec.subsidy > 0:
-            eq = oracle_game(p, subsidy=spec.subsidy)
-        else:
-            eq = solve_game(p)
+        eq = solve_game(p, spec.subsidy)
         return eq.n_star, (eq.rho_star if eq.interior else None)
     eq = solve_extended(p, spec.regime)
     return eq.n_star, eq.selected_rho if eq.interior else None

@@ -6,6 +6,7 @@ All randomness is seeded; a failing criterion fails deterministically.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,21 @@ def test_criterion_04_fertility_scale_invariance():
            f"{worst:.2e} (tol 1e-12)")
 
 
+def bisected_threshold(p: ModelParams, rtol: float = 1e-13) -> float:
+    """Wife income where the unclamped game fertility changes sign, by bisection."""
+
+    def margin(a_w: float) -> float:
+        return p.gamma / p.delta - a_w / equilibrium_transfer(replace(p, a_w=a_w))
+
+    lo, hi = 1e-12 * p.a_m, p.a_m
+    while margin(hi) >= 0:
+        hi *= 2.0
+    while hi - lo > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if margin(mid) > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def test_criterion_05_threshold_law():
     rng = np.random.default_rng(SEED + 5)
     worst = 0.0
@@ -153,7 +169,7 @@ def test_criterion_05_threshold_law():
         p = draw_params(rng)
         crit = fertility_threshold(p)
         closed = p.alpha * p.gamma * p.a_m / p.delta
-        worst = max(worst, rel_err(crit, closed))
+        worst = max(worst, rel_err(crit, closed), rel_err(bisected_threshold(p), crit))
         n = solve_game(p).n_star
         if p.a_w < closed * (1 - 1e-9):
             law_ok = law_ok and n > 0

@@ -121,6 +121,33 @@ class TestExitCodes:
                        "beta = 1\na_w = 2\na_m = 2\nsubsidy = 0.5\n")
         assert run_command(["solve", str(bad)]) == 2
 
+    @pytest.mark.parametrize("model_lines,rho_cell", [
+        ("model = extended\nbeta = 1\nregime = high\n", ""),
+        ("model = game\nsubsidy = 0.5\n", "0"),
+    ])
+    def test_extreme_income_ratio_solves_to_corner(self, tmp_path, capsys,
+                                                   model_lines, rho_cell):
+        # a_w lies far past the childless threshold, and the leader cubic's
+        # roots span some 300 orders of magnitude.
+        scn = tmp_path / "rich.scn"
+        scn.write_text(model_lines + "alpha = 1\ndelta = 1\ngamma = 1\n"
+                       "a_w = 1e300\na_m = 3\n")
+        assert run_command(["solve", str(scn)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        row = out.out.splitlines()[1].split(",")
+        assert row[1:5] == [rho_cell, "0", "1e+300", "3"]
+        assert row[9] == "false"
+
+    def test_income_ratio_beyond_float_range_is_three(self, tmp_path, capsys):
+        scn = tmp_path / "split.scn"
+        scn.write_text("model = extended\nalpha = 1\ndelta = 1\ngamma = 1\n"
+                       "beta = 1\na_w = 1e300\na_m = 1e-300\nregime = high\n")
+        assert run_command(["solve", str(scn)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "solver failure" in out.err
+
     def test_unknown_subcommand_is_two(self, capsys):
         assert run_command(["simulate", GAME_ANCHOR]) == 2
 

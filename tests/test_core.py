@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fertgames import (
-    CostMismatch,
     DomainError,
     ModelParams,
     NonPositiveParameter,
@@ -50,23 +49,6 @@ class TestValidateParams:
         with pytest.raises(NonPositiveParameter) as exc:
             validate_params(ModelParams(**values))
         assert exc.value.field == field
-
-    def test_cost_split_mismatch(self):
-        p = ModelParams(alpha=1, delta=1, gamma=1, beta=1, a_w=1, a_m=1,
-                        beta_w=0.3, beta_m=0.6)
-        with pytest.raises(CostMismatch):
-            validate_params(p)
-
-    def test_negative_split_rejected(self):
-        p = ModelParams(alpha=1, delta=1, gamma=1, beta=1, a_w=1, a_m=1,
-                        beta_w=1.5)
-        with pytest.raises(NonPositiveParameter) as exc:
-            validate_params(p)
-        assert exc.value.field == "beta_m"
-
-    def test_default_split_is_even(self):
-        p = ModelParams(alpha=1, delta=1, gamma=1, beta=3, a_w=1, a_m=1)
-        assert p.beta_w == p.beta_m == 1.5
 
     def test_nan_rejected(self):
         p = ModelParams(alpha=math.nan, delta=1, gamma=1, beta=1, a_w=1, a_m=1)

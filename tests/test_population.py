@@ -12,7 +12,6 @@ from fertgames import (
     ModelParams,
     PopulationSpec,
     aggregate,
-    oracle_game,
     sample_households,
     solve_game,
 )
@@ -161,7 +160,7 @@ class TestAggregate:
                               model="game")
         households = sample_households(spec)
         for p in households:
-            n_by_subsidy = [oracle_game(p, subsidy=s).n_star
+            n_by_subsidy = [solve_game(p, s).n_star
                             for s in (0.0, 0.2, 0.5, 1.0)]
             assert all(b >= a - 1e-9 for a, b in
                        zip(n_by_subsidy, n_by_subsidy[1:]))
