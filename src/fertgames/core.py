@@ -132,6 +132,17 @@ def participation(p: ModelParams, u_w: float, u_m: float) -> tuple[bool, bool]:
     )
 
 
+def pooled_allocation(alpha, delta, gamma, beta, a_w, a_m):
+    """``(c_w, c_m, n)`` of the pooled budget (see :func:`benchmark_solve`).
+
+    Only arithmetic operators, so it runs unchanged, and to the same bits,
+    on floats and on numpy arrays of households.
+    """
+    total = a_w + a_m
+    weight = 1.0 + gamma + (alpha - delta)
+    return gamma * total / weight, total / weight, (alpha - delta) * total / (beta * weight)
+
+
 def benchmark_solve(p: ModelParams) -> BenchmarkSolution:
     """Solve the pooled-budget family problem in closed form.
 
@@ -153,11 +164,7 @@ def benchmark_solve(p: ModelParams) -> BenchmarkSolution:
         raise PreferenceOrderViolated(
             f"alpha={p.alpha!r} must exceed delta={p.delta!r}"
         )
-    total = p.total_income
-    weight = 1.0 + p.gamma + (p.alpha - p.delta)
-    c_w = p.gamma * total / weight
-    c_m = total / weight
-    n = (p.alpha - p.delta) * total / (p.beta * weight)
+    c_w, c_m, n = pooled_allocation(p.alpha, p.delta, p.gamma, p.beta, p.a_w, p.a_m)
     u_family = (
         p.gamma * math.log(c_w)
         + math.log(c_m)

@@ -54,11 +54,13 @@ class InvalidDistribution(ModelError):
 
 
 class HouseholdSolveFailure(ModelError):
-    """A household inside a population sweep failed to solve."""
+    """A household inside a population sweep failed to solve; ``params`` are
+    the household's drawn ``ModelParams``."""
 
-    def __init__(self, index: int, cause: Exception):
+    def __init__(self, index: int, cause: Exception, params):
         self.index = index
-        super().__init__(f"household {index} failed to solve: {cause}")
+        self.params = params
+        super().__init__(f"household {index} failed to solve: {cause}; {params!r}")
 
 
 class ScenarioError(ModelError):

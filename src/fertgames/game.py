@@ -23,7 +23,12 @@ import math
 from dataclasses import dataclass
 
 from .core import ModelParams, participation, utility_linear_pair, validate_params
-from .errors import BracketingFailure, NonPositiveParameter, NonPositiveTransfer
+from .errors import (
+    BracketingFailure,
+    NonPositiveParameter,
+    NonPositiveTransfer,
+    NumericalFailure,
+)
 from .extended import leader_optimum
 
 
@@ -77,18 +82,40 @@ def wife_reaction(p: ModelParams, rho: float) -> ReactionDecomposition:
     )
 
 
-def equilibrium_transfer(p: ModelParams) -> float:
-    """Positive root of the husband's first-order quadratic.
+def transfer_root(alpha, delta, gamma, a_w, a_m, sqrt):
+    """Positive root of the husband's first-order quadratic, unscaled.
 
     Evaluated in the cancellation-free form ``q / (alpha*a_w/2 + sqrt(X))``
     with ``q = (alpha*delta/gamma)*a_w*(a_w + a_m)`` and
     ``X = (alpha*a_w/2)**2 + q``, which is exact even when the two terms of
-    the textbook expression ``-alpha*a_w/2 + sqrt(X)`` nearly cancel.
+    the textbook expression ``-alpha*a_w/2 + sqrt(X)`` nearly cancel. Runs
+    on floats with ``math.sqrt`` and on numpy arrays with ``numpy.sqrt``.
+    """
+    half = 0.5 * alpha * a_w
+    q = (alpha * delta / gamma) * a_w * (a_w + a_m)
+    return q / (half + sqrt(half * half + q))
+
+
+def equilibrium_transfer(p: ModelParams) -> float:
+    """Positive root of the husband's first-order quadratic.
+
+    The root is homogeneous of degree one in incomes, so both are scaled by
+    the power of two ``2**-e`` that brings the larger below 1, and the root
+    is scaled back: exact in binary, and ``q`` no longer overflows near 1e300
+    or underflows near 1e-300. Raises NumericalFailure when the transfer
+    itself exceeds the float range.
     """
     validate_params(p)
-    half = 0.5 * p.alpha * p.a_w
-    q = (p.alpha * p.delta / p.gamma) * p.a_w * (p.a_w + p.a_m)
-    return q / (half + math.sqrt(half * half + q))
+    a_w, a_m = p.a_w, p.a_m
+    _, e = math.frexp(a_w if a_w > a_m else a_m)
+    rho = transfer_root(p.alpha, p.delta, p.gamma, math.ldexp(a_w, -e),
+                        math.ldexp(a_m, -e), math.sqrt)
+    try:
+        return math.ldexp(rho, e)
+    except OverflowError:
+        raise NumericalFailure(
+            f"equilibrium transfer {rho!r} * 2**{e} exceeds the float range"
+        ) from None
 
 
 def solve_game(p: ModelParams, subsidy: float = 0.0) -> GameEquilibrium:

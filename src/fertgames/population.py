@@ -1,13 +1,27 @@
 """Heterogeneous-population aggregation with a childbirth-subsidy lever.
 
 Households draw incomes from log-normal distributions and preferences from
-fixed values or uniform ranges, each household seeded independently from
-(seed, index) so parallel and serial generation agree bit for bit. Every
-household is solved under the configured model; a positive subsidy is
-solvable under the transfer game, where it turns the husband's first-order
-condition into the leader cubic of :mod:`fertgames.extended`. The subsidy is
-funded from general revenue: it raises the wife's effective per-child
-receipt without touching either spouse's budget.
+fixed values or uniform ranges. Household ``i`` draws from its own stream,
+bit-identical to ``numpy.random.default_rng([seed, i])``: two standard
+normals for the incomes, then one uniform per ranged preference in the order
+alpha, delta, gamma, beta. Draws thus depend only on (seed, index), so
+parallel and serial generation agree bit for bit, and a test pins the
+equality. The sampler does not build a generator per household: it derives
+every household's PCG64 state at once by numpy's documented SeedSequence and
+PCG64 seeding, and sets each state on one reused generator.
+
+The pooled-budget model and the unsubsidized game are solved as array
+expressions over all households, in the operation order of their scalar
+solvers, so every n* and rho* is bit-identical to a scalar solve. Each check
+of the scalar route (positive parameters, preference order, transfer,
+consumption domain) is an array mask; a household that fails one is handed
+to the scalar route, which raises the same error. The extended model and
+the subsidized game solve their leader cubic one household at a time. A
+positive subsidy is solvable under the transfer game, where it turns the
+husband's first-order condition into the leader cubic of
+:mod:`fertgames.extended`. The subsidy is funded from general revenue: it
+raises the wife's effective per-child receipt without touching either
+spouse's budget.
 
 Aggregates focus on the relative-income story: fertility by wife-to-husband
 income-ratio decile falls as the ratio rises, and the childless share tracks
@@ -18,20 +32,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .core import ModelParams, benchmark_solve, validate_params
+from .core import ModelParams, benchmark_solve, pooled_allocation, validate_params
 from .errors import HouseholdSolveFailure, InvalidDistribution, ModelError
 from .extended import REGIMES, solve_extended
-from .game import solve_game
+from .game import solve_game, transfer_root
 
 if TYPE_CHECKING:
     import numpy as np
 
 MODELS = ("benchmark", "game", "extended")
+PREFERENCES = ("alpha", "delta", "gamma", "beta")
 
 # A preference entry is either a fixed value or a (lo, hi) uniform range.
 PreferenceDist = float | tuple[float, float]
+
+# numpy's SeedSequence (pool of four 32-bit words) and PCG64 seeding constants.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+# Households seeded per pass, which bounds the memory of the Python-int states.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,14 +127,17 @@ def check_subsidy(model: str, subsidy: float) -> None:
 
 
 def validate_spec(spec: PopulationSpec) -> PopulationSpec:
-    if not (isinstance(spec.count, int) and spec.count >= 1):
-        raise InvalidDistribution(f"count must be an integer >= 1, got {spec.count!r}")
+    # An index of 2**32 or more would take two SeedSequence entropy words,
+    # which the batched seeding does not derive.
+    if not (isinstance(spec.count, int) and 1 <= spec.count < 2**32):
+        raise InvalidDistribution(
+            f"count must be an integer in [1, 2**32), got {spec.count!r}")
     if not (isinstance(spec.seed, int) and 0 <= spec.seed < 2**64):
         raise InvalidDistribution(f"seed must fit in 64 bits, got {spec.seed!r}")
     for name, dist in (("aw_dist", spec.aw_dist), ("am_dist", spec.am_dist)):
         if not (math.isfinite(dist.mu) and math.isfinite(dist.sigma) and dist.sigma >= 0):
             raise InvalidDistribution(f"{name}: need finite mu and sigma >= 0, got {dist!r}")
-    for name in ("alpha", "delta", "gamma", "beta"):
+    for name in PREFERENCES:
         _check_dist(name, getattr(spec, name))
     if spec.model not in MODELS:
         raise InvalidDistribution(f"model must be one of {MODELS}, got {spec.model!r}")
@@ -119,11 +147,104 @@ def validate_spec(spec: PopulationSpec) -> PopulationSpec:
     return spec
 
 
-def _draw_pref(rng: np.random.Generator, dist: PreferenceDist) -> float:
-    if isinstance(dist, tuple):
-        lo, hi = dist
-        return float(rng.uniform(lo, hi))
-    return float(dist)
+def _pcg64_states(seed: int, index: np.ndarray):
+    """Yield the PCG64 ``(state, inc)`` of ``default_rng([seed, i])`` for
+    each ``i`` in ``index`` (all below 2**32).
+
+    numpy's SeedSequence on uint32 arrays: the entropy words (the seed's
+    32-bit words, ``[0]`` for seed 0, then ``i``) are hashed into a pool of
+    four words, every pool word is mixed into every other, and
+    ``generate_state(4, uint64)`` hashes the pool out into eight words read
+    as four little-endian uint64. PCG64 takes the first two as the 128-bit
+    initial state and the last two as the stream, and seeds by its
+    ``srandom`` step.
+    """
+    import numpy as np
+
+    u32 = np.uint32
+    n = len(index)
+    words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    entropy = [np.full(n, w, dtype=u32) for w in words] + [index.astype(u32)]
+    entropy += [np.zeros(n, dtype=u32)] * (4 - len(entropy))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ u32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * u32(const)
+        return value ^ (value >> u32(16))
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = u32(_MIX_L) * pool[dst] - u32(_MIX_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> u32(16))
+    const = _INIT_B
+    out = []
+    for j in range(8):
+        value = pool[j % 4] ^ u32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * u32(const)
+        out.append((value ^ (value >> u32(16))).astype(np.uint64))
+    halves = [(out[2 * m] | out[2 * m + 1] << np.uint64(32)).tolist() for m in range(4)]
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        yield ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+# Drawn households are a struct of arrays, ``columns``: one column per
+# ModelParams field, in field order, with one entry per household; a fixed
+# preference stays a float.
+def _params(columns: tuple, i: int) -> ModelParams:
+    return ModelParams(*(v if isinstance(v, float) else float(v[i]) for v in columns))
+
+
+def _rows(columns: tuple) -> list[ModelParams]:
+    lists = (repeat(v) if isinstance(v, float) else v.tolist() for v in columns)
+    return [ModelParams(*row) for row in zip(*lists)]
+
+
+def _draw(spec: PopulationSpec, index: np.ndarray) -> tuple:
+    """Draw the households ``index``; each depends only on (seed, index).
+
+    Raises NonPositiveParameter, as ``validate_params`` does, for the first
+    household whose draw is not finite and positive (an income whose
+    log-normal draw overflows or underflows).
+    """
+    import numpy as np
+
+    ranged = [name for name in PREFERENCES if isinstance(getattr(spec, name), tuple)]
+    raw = np.empty((len(index), 2 + len(ranged)))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    state = {"state": 0, "inc": 0}
+    setting = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    for start in range(0, len(index), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        for row, (pcg_state, inc) in zip(raw[chunk], _pcg64_states(spec.seed, index[chunk])):
+            state["state"], state["inc"] = pcg_state, inc
+            bitgen.state = setting
+            gen.standard_normal(out=row[:2])
+            if ranged:
+                gen.random(out=row[2:])
+
+    values = {name: float(getattr(spec, name)) for name in PREFERENCES if name not in ranged}
+    for j, name in enumerate(ranged, start=2):
+        lo, hi = (float(v) for v in getattr(spec, name))
+        values[name] = lo + (hi - lo) * raw[:, j]
+    with np.errstate(over="ignore", under="ignore"):
+        for name, dist, column in (("a_w", spec.aw_dist, 0), ("a_m", spec.am_dist, 1)):
+            values[name] = np.exp(float(dist.mu) + float(dist.sigma) * raw[:, column])
+    columns = tuple(values[name] for name in PREFERENCES + ("a_w", "a_m"))
+
+    valid = np.ones(len(index), dtype=bool)
+    for column in columns:
+        valid &= np.isfinite(column) & (column > 0)
+    if not valid.all():
+        validate_params(_params(columns, int(np.argmin(valid))))
+    return columns
 
 
 def sample_household(spec: PopulationSpec, index: int) -> ModelParams:
@@ -132,23 +253,16 @@ def sample_household(spec: PopulationSpec, index: int) -> ModelParams:
     # the largest part of the package's import time and memory.
     import numpy as np
 
-    rng = np.random.default_rng([spec.seed, index])
-    a_w = float(np.exp(spec.aw_dist.mu + spec.aw_dist.sigma * rng.standard_normal()))
-    a_m = float(np.exp(spec.am_dist.mu + spec.am_dist.sigma * rng.standard_normal()))
-    params = ModelParams(
-        alpha=_draw_pref(rng, spec.alpha),
-        delta=_draw_pref(rng, spec.delta),
-        gamma=_draw_pref(rng, spec.gamma),
-        beta=_draw_pref(rng, spec.beta),
-        a_w=a_w,
-        a_m=a_m,
-    )
-    return validate_params(params)
+    if not (isinstance(index, int) and 0 <= index < 2**32):
+        raise InvalidDistribution(f"household index must be in [0, 2**32), got {index!r}")
+    return _params(_draw(spec, np.array([index])), 0)
 
 
 def sample_households(spec: PopulationSpec) -> list[ModelParams]:
+    import numpy as np
+
     validate_spec(spec)
-    return [sample_household(spec, i) for i in range(spec.count)]
+    return _rows(_draw(spec, np.arange(spec.count)))
 
 
 def _solve_household(spec: PopulationSpec, p: ModelParams) -> tuple[float, float | None]:
@@ -162,36 +276,84 @@ def _solve_household(spec: PopulationSpec, p: ModelParams) -> tuple[float, float
     return eq.n_star, eq.selected_rho if eq.interior else None
 
 
+def _solve_one(spec: PopulationSpec, p: ModelParams, index: int) -> tuple[float, float | None]:
+    try:
+        return _solve_household(spec, p)
+    except ModelError as exc:
+        raise HouseholdSolveFailure(index, exc, p) from exc
+
+
+def _solve_closed_form(spec: PopulationSpec, columns: tuple):
+    """n* and rho* (None for the benchmark model) of every household.
+
+    ``benchmark_solve``, and ``equilibrium_transfer`` with ``wife_reaction``,
+    as array expressions in the same operation order. Households that a
+    check of those routes would reject are solved by the scalar route.
+    """
+    import numpy as np
+
+    alpha, delta, gamma, beta, a_w, a_m = columns
+    with np.errstate(all="ignore"):
+        if spec.model == "benchmark":
+            c_w, c_m, n = pooled_allocation(alpha, delta, gamma, beta, a_w, a_m)
+            rho = None
+            valid = (alpha > delta) & (c_w > 0) & (c_m > 0) & (n > 0)
+        else:
+            e = np.frexp(np.maximum(a_w, a_m))[1]
+            rho = np.ldexp(transfer_root(alpha, delta, gamma, np.ldexp(a_w, -e),
+                                         np.ldexp(a_m, -e), np.sqrt), e)
+            response = gamma / delta + -a_w / rho
+            n = np.where(response > 0.0, response, 0.0)  # max(0.0, response)
+            valid = (np.isfinite(rho) & (rho > 0)
+                     & (a_w + rho * n > 0) & (a_m - rho * n > 0))
+    for i in np.flatnonzero(~valid).tolist():
+        n[i], transfer = _solve_one(spec, _params(columns, i), i)
+        if transfer is not None:
+            rho[i] = transfer
+    return n, rho
+
+
+def _left_sum(values: list[float]) -> float:
+    """Left-to-right sum, one rounding per addition, which defines the
+    decile means; the builtin ``sum`` compensates from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def aggregate(spec: PopulationSpec) -> AggregateReport:
     """Sample, solve and aggregate one population.
 
     Solver errors propagate wrapped in HouseholdSolveFailure carrying the
-    failing household's index.
+    failing household's index and parameters.
     """
-    households = sample_households(spec)
-    fertility: list[float] = []
-    transfers: list[float] = []
-    ratios: list[float] = []
-    for i, p in enumerate(households):
-        try:
-            n, rho = _solve_household(spec, p)
-        except ModelError as exc:
-            raise HouseholdSolveFailure(i, exc) from exc
-        fertility.append(n)
-        if rho is not None:
-            transfers.append(rho)
-        ratios.append(p.income_ratio)
+    import numpy as np
 
+    validate_spec(spec)
     count = spec.count
-    order = sorted(range(count), key=lambda i: (ratios[i], i))
-    decile_sums = [0.0] * 10
-    decile_counts = [0] * 10
-    for rank, i in enumerate(order):
-        bucket = min(9, rank * 10 // count)
-        decile_sums[bucket] += fertility[i]
-        decile_counts[bucket] += 1
+    columns = _draw(spec, np.arange(count))
+    if spec.model != "extended" and spec.subsidy == 0:
+        n, rho = _solve_closed_form(spec, columns)
+        transfers = [] if rho is None else rho[n > 0].tolist()
+    else:
+        fertility, transfers = [], []
+        for i, p in enumerate(_rows(columns)):
+            n_i, rho_i = _solve_one(spec, p, i)
+            fertility.append(n_i)
+            if rho_i is not None:
+                transfers.append(rho_i)
+        n = np.array(fertility)
+
+    a_w, a_m = columns[4:]
+    ratios = a_w / a_m
+    ranked = n[np.argsort(ratios, kind="stable")].tolist()
+    # Bucket b holds the ranks with rank*10//count == b.
+    bounds = [-(-b * count // 10) for b in range(11)]
+    decile_counts = tuple(bounds[b + 1] - bounds[b] for b in range(10))
     decile_means = tuple(
-        decile_sums[b] / decile_counts[b] if decile_counts[b] else math.nan
+        _left_sum(ranked[bounds[b]:bounds[b + 1]]) / decile_counts[b]
+        if decile_counts[b] else math.nan
         for b in range(10)
     )
 
@@ -201,11 +363,11 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
             "subsidy funded from general revenue; no spousal budget deduction"
         )
     return AggregateReport(
-        mean_fertility=sum(fertility) / count,
-        childless_share=sum(1 for n in fertility if n <= 0.0) / count,
+        mean_fertility=sum(n.tolist()) / count,
+        childless_share=int(np.count_nonzero(n <= 0.0)) / count,
         mean_transfer=(sum(transfers) / len(transfers)) if transfers else None,
-        mean_income_ratio=sum(ratios) / count,
+        mean_income_ratio=sum(ratios.tolist()) / count,
         fertility_by_ratio_decile=decile_means,
-        decile_counts=tuple(decile_counts),
+        decile_counts=decile_counts,
         notes=tuple(notes),
     )

@@ -124,11 +124,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("model_lines,rho_cell", [
         ("model = extended\nbeta = 1\nregime = high\n", ""),
         ("model = game\nsubsidy = 0.5\n", "0"),
+        ("model = game\n", "6.1803398875e+299"),
     ])
     def test_extreme_income_ratio_solves_to_corner(self, tmp_path, capsys,
                                                    model_lines, rho_cell):
-        # a_w lies far past the childless threshold, and the leader cubic's
-        # roots span some 300 orders of magnitude.
+        # a_w lies far past the childless threshold; the leader cubic's roots
+        # span some 300 orders of magnitude, and the game quadratic's
+        # unscaled coefficient would overflow.
         scn = tmp_path / "rich.scn"
         scn.write_text(model_lines + "alpha = 1\ndelta = 1\ngamma = 1\n"
                        "a_w = 1e300\na_m = 3\n")

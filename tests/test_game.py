@@ -10,6 +10,7 @@ from fertgames import (
     BracketingFailure,
     ModelParams,
     NonPositiveTransfer,
+    NumericalFailure,
     equilibrium_transfer,
     fertility_threshold,
     solve_game,
@@ -79,6 +80,27 @@ class TestEquilibriumTransfer:
     def test_homogeneous_in_incomes(self):
         p = ModelParams(alpha=2, delta=1, gamma=1, beta=1, a_w=2, a_m=6)
         assert equilibrium_transfer(p) == pytest.approx(4.0, rel=1e-14)
+
+    def test_extreme_incomes_scale_out(self, rng):
+        # Scaling incomes by a power of two scales the transfer by it
+        # exactly; 1e+-300 scalings round the incomes, not the solve.
+        for _ in range(50):
+            p = draw_params(rng)
+            rho = equilibrium_transfer(p)
+            for lam in (2.0**900, 2.0**-900, 1e300, 1e-300):
+                scaled = ModelParams(p.alpha, p.delta, p.gamma, p.beta,
+                                     lam * p.a_w, lam * p.a_m)
+                got = equilibrium_transfer(scaled) / lam
+                if math.frexp(lam)[0] == 0.5:
+                    assert got == rho
+                else:
+                    assert rel_err(got, rho) < 1e-14
+
+    def test_transfer_beyond_float_range_is_numerical_failure(self):
+        p = ModelParams(alpha=1, delta=1e10, gamma=1e-10, beta=1,
+                        a_w=1e300, a_m=1e300)
+        with pytest.raises(NumericalFailure):
+            equilibrium_transfer(p)
 
     @given(params_st)
     @settings(max_examples=300)
@@ -153,6 +175,22 @@ class TestSolveGame:
                     assert n1 == 0.0
                 else:
                     assert rel_err(n1, n0) < 1e-12
+
+    def test_extreme_income_solves_to_corner(self):
+        eq = solve_game(ModelParams(alpha=1, delta=1, gamma=1, beta=1,
+                                    a_w=1e300, a_m=3))
+        assert eq.n_star == 0.0 and not eq.interior
+        assert (eq.c_w, eq.c_m) == (1e300, 3.0)
+        assert math.isfinite(eq.rho_star) and eq.rho_star > 0
+
+    def test_fertility_invariant_to_extreme_scales(self, rng):
+        for _ in range(50):
+            p = draw_interior_params(rng)
+            n0 = solve_game(p).n_star
+            for lam in (1e300, 1e-300):
+                scaled = ModelParams(p.alpha, p.delta, p.gamma, lam * p.beta,
+                                     lam * p.a_w, lam * p.a_m)
+                assert rel_err(solve_game(scaled).n_star, n0) < 1e-12
 
     def test_threshold_law(self, rng):
         for _ in range(100):

@@ -6,18 +6,71 @@ import numpy as np
 import pytest
 
 from fertgames import (
+    AggregateReport,
     HouseholdSolveFailure,
     InvalidDistribution,
     LogNormalSpec,
+    ModelError,
     ModelParams,
+    NonPositiveParameter,
+    NumericalFailure,
     PopulationSpec,
     aggregate,
     sample_households,
     solve_game,
 )
-from fertgames.population import sample_household
+from fertgames.population import _solve_household, sample_household
 
 POINT = LogNormalSpec(mu=0.0, sigma=0.0)
+PREFS = ("alpha", "delta", "gamma", "beta")
+
+
+def reference_household(spec: PopulationSpec, index: int) -> ModelParams:
+    """Household ``index`` drawn the way the sampler is specified: from its
+    own ``default_rng([seed, index])``, two normals, then one uniform per
+    ranged preference."""
+    rng = np.random.default_rng([spec.seed, index])
+    a_w = float(np.exp(spec.aw_dist.mu + spec.aw_dist.sigma * rng.standard_normal()))
+    a_m = float(np.exp(spec.am_dist.mu + spec.am_dist.sigma * rng.standard_normal()))
+    prefs = {}
+    for name in PREFS:
+        dist = getattr(spec, name)
+        prefs[name] = (float(rng.uniform(*dist)) if isinstance(dist, tuple)
+                       else float(dist))
+    return ModelParams(a_w=a_w, a_m=a_m, **prefs)
+
+
+def reference_aggregate(spec: PopulationSpec) -> AggregateReport:
+    """One household at a time: scalar draw, scalar solve, sorted deciles."""
+    fertility, transfers, ratios = [], [], []
+    for i in range(spec.count):
+        p = reference_household(spec, i)
+        n, rho = _solve_household(spec, p)
+        fertility.append(n)
+        if rho is not None:
+            transfers.append(rho)
+        ratios.append(p.a_w / p.a_m)
+    count = spec.count
+    order = sorted(range(count), key=lambda i: (ratios[i], i))
+    decile_sums = [0.0] * 10
+    decile_counts = [0] * 10
+    for rank, i in enumerate(order):
+        bucket = min(9, rank * 10 // count)
+        decile_sums[bucket] += fertility[i]
+        decile_counts[bucket] += 1
+    notes = ("subsidy funded from general revenue; no spousal budget deduction",
+             ) if spec.subsidy > 0 else ()
+    return AggregateReport(
+        mean_fertility=sum(fertility) / count,
+        childless_share=sum(1 for n in fertility if n <= 0.0) / count,
+        mean_transfer=(sum(transfers) / len(transfers)) if transfers else None,
+        mean_income_ratio=sum(ratios) / count,
+        fertility_by_ratio_decile=tuple(
+            decile_sums[b] / decile_counts[b] if decile_counts[b] else math.nan
+            for b in range(10)),
+        decile_counts=tuple(decile_counts),
+        notes=notes,
+    )
 
 
 def point_spec(a_w: float, a_m: float, count: int = 1, **kw) -> PopulationSpec:
@@ -78,6 +131,61 @@ class TestSampling:
             assert 0.5 <= h.delta <= 1.0
             assert h.gamma == 1.0
             assert 0.2 <= h.beta <= 0.4
+
+
+FIXED_PREFS = dict(alpha=2.0, delta=1.0, gamma=1.0, beta=1.0)
+RANGED_PREFS = dict(alpha=(1.5, 3.0), delta=(0.5, 1.2), gamma=1.0, beta=(0.2, 0.4))
+
+
+class TestBatchedSampling:
+    """The batched sampler against one ``default_rng([seed, i])`` each."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("prefs", [FIXED_PREFS, RANGED_PREFS],
+                             ids=["fixed", "ranged"])
+    def test_columns_match_default_rng(self, seed, prefs):
+        spec = PopulationSpec(count=23, seed=seed,
+                              aw_dist=LogNormalSpec(0.3, 0.7),
+                              am_dist=LogNormalSpec(-0.1, 0.4), **prefs)
+        households = sample_households(spec)
+        for i in (0, 1, spec.count - 1):
+            want = reference_household(spec, i)
+            assert households[i] == want
+            assert sample_household(spec, i) == want
+
+    @pytest.mark.parametrize("model,subsidy", [
+        ("benchmark", 0.0), ("game", 0.0), ("extended", 0.0), ("game", 0.5)])
+    @pytest.mark.parametrize("count", [1, 7, 137, 3001])
+    @pytest.mark.parametrize("prefs", [FIXED_PREFS, RANGED_PREFS],
+                             ids=["fixed", "ranged"])
+    def test_aggregate_matches_scalar_loop(self, model, subsidy, count, prefs):
+        spec = PopulationSpec(count=count, seed=20251 + count,
+                              aw_dist=LogNormalSpec(0.0, 0.6),
+                              am_dist=LogNormalSpec(math.log(3.0), 0.5),
+                              model=model, subsidy=subsidy, **prefs)
+        assert repr(aggregate(spec)) == repr(reference_aggregate(spec))
+
+    def test_first_invalid_draw_raises_like_validate_params(self):
+        # sigma = 500 sends about a third of the incomes to inf or 0.
+        spec = PopulationSpec(count=50, seed=0, aw_dist=LogNormalSpec(0.0, 500.0),
+                              am_dist=POINT, **FIXED_PREFS)
+        with np.errstate(over="ignore", under="ignore"):
+            draws = [reference_household(spec, i).a_w for i in range(spec.count)]
+        invalid = [i for i, a_w in enumerate(draws) if not 0 < a_w < math.inf]
+        first = draws[invalid[0]]
+        assert invalid[0] > 0 and math.inf in draws[invalid[0]:]
+        with pytest.raises(NonPositiveParameter) as exc:
+            sample_households(spec)
+        assert (exc.value.field, exc.value.value) == ("a_w", first)
+
+    def test_count_of_two_to_the_32_rejected(self):
+        spec = point_spec(1, 1, count=2**32)
+        with pytest.raises(InvalidDistribution):
+            sample_households(spec)
+        with pytest.raises(InvalidDistribution):
+            aggregate(spec)
+        with pytest.raises(InvalidDistribution):
+            sample_household(spec, 2**32)
 
 
 class TestSpecValidation:
@@ -196,3 +304,26 @@ class TestAggregate:
         with pytest.raises(HouseholdSolveFailure) as exc:
             aggregate(spec)
         assert exc.value.index == 0
+        assert exc.value.params == sample_household(spec, 0)
+        assert repr(exc.value.params) in str(exc.value)
+
+    def test_game_household_failure_carries_first_failing_index(self):
+        # Incomes near 1e301 with delta/gamma = 1e12: about one household in
+        # ten pays a transfer beyond the float range.
+        spec = PopulationSpec(count=400, seed=5,
+                              aw_dist=LogNormalSpec(math.log(1e301), 2.0),
+                              am_dist=LogNormalSpec(math.log(1e300), 0.0),
+                              alpha=1.0, delta=1e6, gamma=1e-6, beta=1.0)
+        failing = []
+        for i in range(spec.count):
+            try:
+                solve_game(sample_household(spec, i))
+            except ModelError:
+                failing.append(i)
+        assert 0 < failing[0] and len(failing) < spec.count
+        with pytest.raises(HouseholdSolveFailure) as exc:
+            aggregate(spec)
+        assert exc.value.index == failing[0]
+        assert exc.value.params == sample_household(spec, failing[0])
+        assert isinstance(exc.value.__cause__, NumericalFailure)
+        assert repr(exc.value.params) in str(exc.value)
