@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import ModelParams, participation, utility_linear_pair, validate_params
 from .errors import NumericalFailure
@@ -182,9 +183,15 @@ def real_roots(foc: CubicFOC) -> tuple[float, ...]:
         raise NumericalFailure(
             f"roots of the cubic {coeffs!r} exceed the floating-point range"
         )
-    # Exact power-of-two scaling, in an order that keeps intermediates finite.
+    # Exact power-of-two scaling, in an order that keeps intermediates finite
+    # once the scaled leading coefficient is.
     exp = math.frexp(bound)[1]
-    lead = math.ldexp(c3, exp)
+    try:
+        lead = math.ldexp(c3, exp)
+    except OverflowError:
+        raise NumericalFailure(
+            f"roots of the cubic {coeffs!r} span more than the floating-point range"
+        ) from None
     b = c2 / lead
     c = math.ldexp(c1, -exp) / lead
     d = math.ldexp(math.ldexp(c0, -exp) / lead, -exp)
@@ -288,6 +295,154 @@ def leader_optimum(
     if not math.isfinite(c_w):
         raise NumericalFailure(f"wife's consumption {c_w!r} is not finite")
     return real, rho, n, c_w, p.a_m * c_m
+
+
+def _libm(fn, x, *args):
+    """``fn`` applied element by element to the array ``x``, so that the
+    result has libm's bits; numpy's own transcendental kernels may differ
+    from libm in the last ulp."""
+    import numpy as np
+
+    return np.fromiter(map(fn, x.tolist(), *args), float, len(x))
+
+
+def _polish_arrays(b, c, d, z, active):
+    """:func:`_polish` on the lanes ``active``; a lane stops for good where
+    the scalar loop breaks."""
+    import numpy as np
+
+    fz = ((z + b) * z + c) * z + d
+    for _ in range(_NEWTON_STEPS):
+        dfz = (3.0 * z + 2.0 * b) * z + c
+        active = active & (fz != 0.0) & (dfz != 0.0)
+        if not active.any():
+            break
+        nxt = z - fz / dfz
+        fn = ((nxt + b) * nxt + c) * nxt + d
+        active &= np.abs(fn) < np.abs(fz)
+        z = np.where(active, nxt, z)
+        fz = np.where(active, fn, fz)
+    return z
+
+
+def _real_roots_arrays(c3, c2, c1, c0):
+    """:func:`real_roots` over arrays of cubics, to the same bits.
+
+    Returns the roots as three rows, each column ascending with NaN for a
+    missing root, and the mask of cubics solved here. A cubic is left to the
+    scalar route where that raises, where a root is 0 (``sorted`` and
+    ``numpy.sort`` may order signed zeros differently) and where a root is
+    not finite.
+    """
+    import numpy as np
+
+    third = 1.0 / 3.0
+    bound = np.abs(c2 / c3)
+    for term in (np.sqrt(np.abs(c1)) / np.sqrt(np.abs(c3)),
+                 _libm(pow, np.abs(c0), repeat(third))
+                 / _libm(pow, np.abs(c3), repeat(third))):
+        bound = np.where(term > bound, term, bound)  # max() keeps the first
+    ok = (np.isfinite(c3) & np.isfinite(c2) & np.isfinite(c1) & np.isfinite(c0)
+          & np.isfinite(bound) & (bound != 0.0))
+    exp = np.frexp(bound)[1]
+    lead = np.ldexp(c3, exp)
+    b = c2 / lead
+    c = np.ldexp(c1, -exp) / lead
+    d = np.ldexp(np.ldexp(c0, -exp) / lead, -exp)
+    ok &= np.isfinite(lead) & (np.abs(d) >= sys.float_info.min)
+
+    shift = b / 3.0
+    p3 = (c - b * shift) / 3.0
+    h = 0.5 * ((2.0 * shift * shift - c) * shift + d)
+    disc = h * h + p3 * p3 * p3
+    y = np.zeros_like(b)
+    one = ok & (disc > 0.0)
+    h1 = h[one]
+    a = -np.copysign(_libm(pow, np.abs(h1) + np.sqrt(disc[one]), repeat(third)), h1)
+    y[one] = a - p3[one] / a
+    three = ok & ~(disc > 0.0) & (p3 < 0.0)
+    m = np.sqrt(-p3[three])
+    cosine = -h[three] / (m * m * m)
+    cosine = np.where(cosine < 1.0, cosine, 1.0)  # min(1.0, cosine)
+    cosine = np.where(cosine > -1.0, cosine, -1.0)  # max(-1.0, cosine)
+    theta = _libm(math.acos, cosine) / 3.0
+    lo, mid, hi = np.sort([2.0 * m * _libm(math.cos, theta - 2.0 * math.pi * j / 3.0)
+                           for j in range(3)], axis=0)
+    y[three] = np.where(mid - lo > hi - mid, lo, hi)
+    z1 = _polish_arrays(b, c, d, y - shift, ok)
+
+    f = np.where(z1 != 0.0, -d / z1, c)
+    e = b + z1
+    az, ab, ac, af = np.abs(z1), np.abs(b), np.abs(c), np.abs(f)
+    wide = az * np.where(az > ab, az, ab) > np.where(af > ac, af, ac)
+    e = np.where(wide, (f - c) / z1, e)
+    disc = e * e - 4.0 * f
+    tol = _DOUBLE_ROOT_RTOL * (e * e + 4.0 * np.abs(f))
+    two = disc > tol
+    q = -0.5 * (e + np.copysign(np.sqrt(disc), e))
+    z2 = np.where(two, _polish_arrays(b, c, d, q, ok & two),
+                  np.where(disc >= -tol, -0.5 * e, np.nan))
+    z3 = np.where(two, _polish_arrays(b, c, d, f / q, ok & two), np.nan)
+    roots = np.sort(np.ldexp([z1, z2, z3], exp), axis=0)
+    ok &= ~(roots == 0.0).any(axis=0) & ~np.isinf(roots).any(axis=0)
+    return roots, ok
+
+
+def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
+    """:func:`leader_optimum` over arrays of households, to the same bits.
+
+    Every basic operation runs in the scalar route's order, and ``**``,
+    ``acos``, ``cos``, ``log`` and ``log1p`` are ``math``'s. The arguments
+    are arrays or floats; ``subsidy`` is one float. Returns
+    ``(n, rho, c_w, c_m, ok)`` with ``rho`` NaN at the no-birth corner.
+    Households outside ``ok`` must be solved by :func:`leader_optimum`,
+    which raises for those it cannot answer; their values here mean nothing.
+    """
+    import numpy as np
+
+    alpha, delta, gamma, a_w, a_m, paid = np.broadcast_arrays(
+        alpha, delta, gamma, a_w, a_m, paid)
+    with np.errstate(all="ignore"):
+        g = gamma / delta
+        ratio = a_w / a_m
+        kappa = (paid - subsidy) / a_m
+        sigma = subsidy / a_m
+        c3, c2, c1, c0 = _leader_cubic(g, alpha, ratio, 1.0, kappa).coefficients
+        roots, ok = _real_roots_arrays(c3, c2, c1, c0)
+        ok &= (ratio > 0.0) & (ratio < math.inf) & (c3 != 0.0) & (c0 != 0.0)
+
+        # The candidates of the scalar loop, in its order: the roots
+        # ascending (a missing root is NaN and never exceeds sigma), then
+        # the boundary; the best changes only on a strictly higher utility.
+        best_u, best_n, best_cm = np.zeros_like(g), np.zeros_like(g), np.zeros_like(g)
+        best_rho = np.full_like(g, np.nan)
+        for x, rho, valid in [(x, x - sigma, x > sigma) for x in roots] + [
+                (sigma, 0.0, sigma > 0.0)]:
+            n = g - ratio / x
+            valid = valid & ok & (n > 0.0)
+            spent = (x + kappa) * n
+            head = spent < 0.5
+            c_m = np.where(head | (rho == 0.0), 1.0 - spent,
+                           ((g / ratio) * x * x + kappa) / alpha)
+            valid &= c_m > 0.0
+            log_c = np.zeros_like(g)
+            lanes = valid & head
+            log_c[lanes] = _libm(math.log1p, -spent[lanes])
+            lanes = valid & ~head
+            log_c[lanes] = _libm(math.log, c_m[lanes])
+            u = log_c + alpha * n
+            better = valid & (u > best_u)
+            best_u = np.where(better, u, best_u)
+            best_rho = np.where(better, rho, best_rho)
+            best_n = np.where(better, n, best_n)
+            best_cm = np.where(better, c_m, best_cm)
+
+        found = best_n > 0.0
+        rho = best_rho * a_m
+        c_w = np.where(found, a_w + (rho + subsidy) * best_n, a_w)
+        c_m = np.where(found, a_m * best_cm, a_m)
+    ok &= np.isfinite(c_w) & (c_w > 0.0) & np.isfinite(c_m) & (c_m > 0.0)
+    return best_n, rho, c_w, c_m, ok
 
 
 def solve_extended(p: ModelParams, regime: str) -> ExtendedEquilibrium:

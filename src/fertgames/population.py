@@ -10,15 +10,16 @@ equality. The sampler does not build a generator per household: it derives
 every household's PCG64 state at once by numpy's documented SeedSequence and
 PCG64 seeding, and sets each state on one reused generator.
 
-The pooled-budget model and the unsubsidized game are solved as array
-expressions over all households, in the operation order of their scalar
-solvers, so every n* and rho* is bit-identical to a scalar solve. Each check
-of the scalar route (positive parameters, preference order, transfer,
-consumption domain) is an array mask; a household that fails one is handed
-to the scalar route, which raises the same error. The extended model and
-the subsidized game solve their leader cubic one household at a time. A
-positive subsidy is solvable under the transfer game, where it turns the
-husband's first-order condition into the leader cubic of
+Every model is solved as array expressions over slices of households, in
+the operation order of its scalar solver, so every n* and rho* is
+bit-identical to a scalar solve: the pooled budget, the unsubsidized game's
+quadratic, and the leader cubic of the extended model and the subsidized
+game, whose few transcendental functions are libm's, applied element by
+element. Each check of the scalar route (positive parameters, preference
+order, transfer, cubic range, consumption domain) is an array mask; a
+household that fails one is handed to the scalar route, which raises the
+same error. A positive subsidy is solvable under the transfer game, where
+it turns the husband's first-order condition into the leader cubic of
 :mod:`fertgames.extended`. The subsidy is funded from general revenue: it
 raises the wife's effective per-child receipt without touching either
 spouse's budget.
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING
 
 from .core import ModelParams, benchmark_solve, pooled_allocation, validate_params
 from .errors import HouseholdSolveFailure, InvalidDistribution, ModelError
-from .extended import REGIMES, solve_extended
+from .extended import REGIMES, leader_optima, solve_extended
 from .game import solve_game, transfer_root
 
 if TYPE_CHECKING:
@@ -283,30 +284,58 @@ def _solve_one(spec: PopulationSpec, p: ModelParams, index: int) -> tuple[float,
         raise HouseholdSolveFailure(index, exc, p) from exc
 
 
-def _solve_closed_form(spec: PopulationSpec, columns: tuple):
-    """n* and rho* (None for the benchmark model) of every household.
+def _solve_arrays(spec: PopulationSpec, alpha, delta, gamma, beta, a_w, a_m):
+    """``(n, rho, ok)`` of a slice of households solved as arrays.
 
-    ``benchmark_solve``, and ``equilibrium_transfer`` with ``wife_reaction``,
-    as array expressions in the same operation order. Households that a
-    check of those routes would reject are solved by the scalar route.
+    ``benchmark_solve``, ``equilibrium_transfer`` with ``wife_reaction``,
+    and ``leader_optimum`` run as array expressions in their scalar
+    operation order, so every n* and rho* (None for the benchmark model)
+    has the scalar route's bits. Households outside ``ok`` are those a check
+    of the scalar route would reject.
     """
     import numpy as np
 
-    alpha, delta, gamma, beta, a_w, a_m = columns
     with np.errstate(all="ignore"):
         if spec.model == "benchmark":
             c_w, c_m, n = pooled_allocation(alpha, delta, gamma, beta, a_w, a_m)
-            rho = None
-            valid = (alpha > delta) & (c_w > 0) & (c_m > 0) & (n > 0)
-        else:
+            return n, None, (alpha > delta) & (c_w > 0) & (c_m > 0) & (n > 0)
+        if spec.model == "game" and spec.subsidy == 0:
             e = np.frexp(np.maximum(a_w, a_m))[1]
             rho = np.ldexp(transfer_root(alpha, delta, gamma, np.ldexp(a_w, -e),
                                          np.ldexp(a_m, -e), np.sqrt), e)
             response = gamma / delta + -a_w / rho
             n = np.where(response > 0.0, response, 0.0)  # max(0.0, response)
-            valid = (np.isfinite(rho) & (rho > 0)
-                     & (a_w + rho * n > 0) & (a_m - rho * n > 0))
-    for i in np.flatnonzero(~valid).tolist():
+            ok = (np.isfinite(rho) & (rho > 0)
+                  & (a_w + rho * n > 0) & (a_m - rho * n > 0))
+            return n, rho, ok
+    if spec.model == "extended":
+        n, rho, _, _, ok = leader_optima(alpha, delta, gamma, a_w, a_m, beta, 0.0)
+    else:
+        n, rho, _, _, ok = leader_optima(alpha, delta, gamma, a_w, a_m, 0.0, spec.subsidy)
+    return n, rho, ok
+
+
+def _solve(spec: PopulationSpec, columns: tuple):
+    """n* and rho* (None for the benchmark model) of every household.
+
+    Solved as arrays, ``_CHUNK`` households at a time, into preallocated
+    arrays. Households the array route leaves out are solved by the scalar
+    route, which raises HouseholdSolveFailure for the first failing one.
+    """
+    import numpy as np
+
+    count = spec.count
+    n = np.empty(count)
+    rho = None if spec.model == "benchmark" else np.empty(count)
+    flagged = []
+    for start in range(0, count, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        n[chunk], rho_chunk, ok = _solve_arrays(
+            spec, *(v if isinstance(v, float) else v[chunk] for v in columns))
+        if rho is not None:
+            rho[chunk] = rho_chunk
+        flagged += (np.flatnonzero(~ok) + start).tolist()
+    for i in flagged:
         n[i], transfer = _solve_one(spec, _params(columns, i), i)
         if transfer is not None:
             rho[i] = transfer
@@ -333,17 +362,8 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
     validate_spec(spec)
     count = spec.count
     columns = _draw(spec, np.arange(count))
-    if spec.model != "extended" and spec.subsidy == 0:
-        n, rho = _solve_closed_form(spec, columns)
-        transfers = [] if rho is None else rho[n > 0].tolist()
-    else:
-        fertility, transfers = [], []
-        for i, p in enumerate(_rows(columns)):
-            n_i, rho_i = _solve_one(spec, p, i)
-            fertility.append(n_i)
-            if rho_i is not None:
-                transfers.append(rho_i)
-        n = np.array(fertility)
+    n, rho = _solve(spec, columns)
+    transfers = [] if rho is None else rho[n > 0].tolist()
 
     a_w, a_m = columns[4:]
     ratios = a_w / a_m

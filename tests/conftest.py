@@ -13,6 +13,14 @@ SEED = 20250811
 
 LOG_LO, LOG_HI = math.log(0.1), math.log(10.0)
 
+# With a subsidy of 0.5, scaling this household's leader cubic by the power
+# of two above its root bound overflows the leading coefficient.
+LEAD_OVERFLOW = ModelParams(
+    alpha=6.724201680895226e+126, delta=5.926674418235719e-81,
+    gamma=1.239500774538727e+101, beta=2.8193321611457835e+129,
+    a_w=6.2685143770522004e-68, a_m=6.3774030963961445e+41)
+LEAD_OVERFLOW_SUBSIDY = 0.5
+
 
 def loguniform(rng: np.random.Generator, lo: float = 0.1, hi: float = 10.0) -> float:
     return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))

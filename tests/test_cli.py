@@ -1,11 +1,14 @@
 """Scenario parsing, command dispatch, exit codes, and golden files."""
 
+import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+from conftest import LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY
 from fertgames import MissingKey, ParseError, UnknownKey
 from fertgames.cli import parse_scenario, run_command
 
@@ -150,6 +153,20 @@ class TestExitCodes:
         assert out.out == ""
         assert "solver failure" in out.err
 
+    def test_overflowing_scaled_cubic_exits_zero_or_three(self, tmp_path, capsys):
+        p = LEAD_OVERFLOW
+        scn = tmp_path / "overflow.scn"
+        scn.write_text(
+            f"model = game\nalpha = {p.alpha!r}\ndelta = {p.delta!r}\n"
+            f"gamma = {p.gamma!r}\na_w = {p.a_w!r}\na_m = {p.a_m!r}\n"
+            f"subsidy = {LEAD_OVERFLOW_SUBSIDY!r}\n")
+        code = run_command(["solve", str(scn)])
+        out = capsys.readouterr()
+        assert code in (0, 3)
+        if code == 3:
+            assert out.out == ""
+            assert "solver failure" in out.err
+
     def test_unknown_subcommand_is_two(self, capsys):
         assert run_command(["simulate", GAME_ANCHOR]) == 2
 
@@ -216,6 +233,32 @@ class TestGoldenFiles:
                             "--from", "1", "--to", "2", "--steps", "2",
                             "--out", "rel.csv"]) == 0
         assert (tmp_path / "rel.csv").exists()
+
+
+class TestSolveOnlyImports:
+    def test_solve_only_commands_never_load_numpy(self, tmp_path):
+        # Only sampling needs numpy; the solve, statics, threshold and sweep
+        # commands must not pay for loading it.
+        script = textwrap.dedent(f"""
+            import sys
+            from pathlib import Path
+            from fertgames.cli import run_command
+            for scn in sorted(Path({str(SCENARIOS)!r}).glob("*.scn")):
+                assert run_command(["solve", str(scn)]) == 0, scn
+            assert run_command(["statics", {GAME_ANCHOR!r}]) == 0
+            assert run_command(["threshold", {GAME_ANCHOR!r}]) == 0
+            assert run_command(["sweep", {GAME_ANCHOR!r}, "--param", "a_w",
+                                "--from", "0.5", "--to", "7", "--steps", "13",
+                                "--out", "sweep.csv", "--svg", "sweep.svg"]) == 0
+            print("numpy loaded:", "numpy" in sys.modules)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
 
 
 class TestConsoleScript:

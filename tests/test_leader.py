@@ -20,11 +20,19 @@ import pytest
 from fertgames import (
     ModelParams,
     NonPositiveParameter,
+    NumericalFailure,
     oracle_game,
     solve_extended,
     solve_game,
 )
-from conftest import SEED, draw_params, loguniform, rel_err
+from conftest import (
+    LEAD_OVERFLOW,
+    LEAD_OVERFLOW_SUBSIDY,
+    SEED,
+    draw_params,
+    loguniform,
+    rel_err,
+)
 
 SCENARIO = ModelParams(alpha=1, delta=1, gamma=1, beta=1, a_w=1, a_m=1)
 SCENARIO_SUBSIDY = 0.5
@@ -83,6 +91,17 @@ def test_scenario_point_matches_high_precision_digits():
     eq = solve_game(SCENARIO, SCENARIO_SUBSIDY)
     assert format(eq.rho_star, ".12g") == "0.681289282834"
     assert format(eq.n_star, ".12g") == "0.153467305146"
+
+
+def test_overflowing_scaled_cubic_is_solved_or_refused():
+    # The scaled leading coefficient leaves the float range; the answer is
+    # either the certifier's or a NumericalFailure, never an OverflowError.
+    try:
+        eq = solve_game(LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY)
+    except NumericalFailure:
+        return
+    want_rho, want_n = mp_leader(LEAD_OVERFLOW, 0.0, LEAD_OVERFLOW_SUBSIDY)
+    assert_matches(eq.rho_star, eq.n_star, want_rho, want_n)
 
 
 @pytest.mark.parametrize("subsidy", [-0.1, math.nan, math.inf])

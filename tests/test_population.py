@@ -19,10 +19,13 @@ from fertgames import (
     sample_households,
     solve_game,
 )
+from conftest import LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY
+from fertgames.extended import leader_optima, leader_optimum
 from fertgames.population import _solve_household, sample_household
 
 POINT = LogNormalSpec(mu=0.0, sigma=0.0)
 PREFS = ("alpha", "delta", "gamma", "beta")
+SEED_LEADER = 20251018
 
 
 def reference_household(spec: PopulationSpec, index: int) -> ModelParams:
@@ -327,3 +330,130 @@ class TestAggregate:
         assert exc.value.params == sample_household(spec, failing[0])
         assert isinstance(exc.value.__cause__, NumericalFailure)
         assert repr(exc.value.params) in str(exc.value)
+
+
+def log_uniform_households(seed, span: float, count: int) -> list:
+    """Six columns, one per ModelParams field, each log-uniform on
+    [e**-span, e**span]."""
+    rng = np.random.default_rng(seed)
+    return [np.exp(rng.uniform(-span, span, count)) for _ in range(6)]
+
+
+def batched_leader(columns, subsidy: float):
+    alpha, delta, gamma, beta, a_w, a_m = columns
+    paid = 0.0 if subsidy else beta
+    return leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy)
+
+
+def scalar_leader(columns, subsidy: float):
+    """``leader_optimum`` household by household: the rows of
+    ``(n, rho, c_w, c_m)`` (rho NaN at the corner), or None where it raises,
+    and the count of three-root cubics, boundary wins and corners."""
+    rows, seen = [], {"three roots": 0, "boundary": 0, "corner": 0}
+    for values in zip(*(c.tolist() for c in columns)):
+        p = ModelParams(*values)
+        try:
+            roots, rho, n, c_w, c_m = leader_optimum(
+                p, 0.0 if subsidy else p.beta, subsidy)
+        except ModelError:
+            rows.append(None)
+            continue
+        seen["three roots"] += len(roots) == 3
+        seen["boundary"] += rho == 0.0
+        seen["corner"] += rho is None
+        rows.append((n, math.nan if rho is None else rho, c_w, c_m))
+    return rows, seen
+
+
+def assert_same_bits(got, want):
+    """Equal with ``==`` and in the sign of zero, or NaN in both."""
+    got, want = np.asarray(got), np.asarray(want)
+    same = (got == want) & (np.signbit(got) == np.signbit(want))
+    assert (same | (np.isnan(got) & np.isnan(want))).all()
+
+
+E2, E50, E150 = 2.0, math.log(1e50), math.log(1e150)
+
+
+class TestBatchedLeader:
+    """``leader_optima`` against the scalar ``leader_optimum``, household by
+    household and bit for bit."""
+
+    @pytest.mark.parametrize("subsidy", [0.0, 1e-3, 0.5, 10.0],
+                             ids=["extended", "s=1e-3", "s=0.5", "s=10"])
+    def test_bit_identical_to_scalar_route(self, subsidy):
+        seen_total = dict.fromkeys(("three roots", "boundary", "corner"), 0)
+        for j, span in enumerate((E2, E50)):
+            columns = log_uniform_households(
+                [SEED_LEADER, j, int(subsidy * 1000)], span, 20_000)
+            *got, ok = batched_leader(columns, subsidy)
+            rows, seen = scalar_leader(columns, subsidy)
+            assert ok.all() and None not in rows
+            for got_column, want_column in zip(got, zip(*rows)):
+                assert_same_bits(got_column, want_column)
+            for key in seen:
+                seen_total[key] += seen[key]
+        # The draws reach every branch: the trigonometric root, the
+        # boundary rho = 0 (only a subsidy offers it) and the corner.
+        assert seen_total["three roots"] > 0 and seen_total["corner"] > 0
+        assert (seen_total["boundary"] > 0) == (subsidy > 0)
+
+    @pytest.mark.parametrize("subsidy", [0.0, 0.5], ids=["extended", "s=0.5"])
+    def test_households_the_scalar_route_refuses_are_left_to_it(self, subsidy):
+        columns = log_uniform_households([SEED_LEADER, 2], E150, 20_000)
+        *got, ok = batched_leader(columns, subsidy)
+        rows, _ = scalar_leader(columns, subsidy)
+        refused = np.array([row is None for row in rows])
+        assert refused.any() and not ok[refused].any()
+        solved = np.flatnonzero(ok)
+        for got_column, want_column in zip(got, zip(*(rows[i] for i in solved))):
+            assert_same_bits(got_column[solved], want_column)
+
+    @pytest.mark.parametrize("p,subsidy", [
+        (ModelParams(1, 1, 1, 1, a_w=1e300, a_m=1e-300), 0.0),  # income ratio
+        (LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY),  # scaled leading coefficient
+        (ModelParams(1e10, 1e-100, 1e100, 1, 1e300, 1e300), 1e300),  # c_w
+    ], ids=["ratio", "lead", "c_w"])
+    def test_each_refusal_is_left_to_scalar_route(self, p, subsidy):
+        columns = [np.array([v]) for v in (p.alpha, p.delta, p.gamma, p.beta,
+                                           p.a_w, p.a_m)]
+        rows, _ = scalar_leader(columns, subsidy)
+        assert rows == [None]
+        assert not batched_leader(columns, subsidy)[-1].any()
+
+    @pytest.mark.parametrize("model,subsidy", [("extended", 0.0), ("game", 0.5)])
+    def test_aggregate_raises_for_first_refused_household(self, model, subsidy):
+        # Incomes spread over e**+-360: some income ratios, and some roots of
+        # the leader cubic, leave the float range.
+        spec = PopulationSpec(count=400, seed=1,
+                              aw_dist=LogNormalSpec(0.0, 120.0),
+                              am_dist=LogNormalSpec(0.0, 120.0),
+                              alpha=(1e-3, 1e3), delta=1e-50, gamma=1e50,
+                              beta=(1e-3, 1e3), model=model, subsidy=subsidy)
+        failing = []
+        for i in range(spec.count):
+            try:
+                _solve_household(spec, sample_household(spec, i))
+            except ModelError:
+                failing.append(i)
+        assert 0 < failing[0] and len(failing) < spec.count
+        with pytest.raises(HouseholdSolveFailure) as exc:
+            aggregate(spec)
+        assert exc.value.index == failing[0]
+        assert exc.value.params == sample_household(spec, failing[0])
+
+    def test_population_with_overflowing_scaled_cubic(self):
+        p = LEAD_OVERFLOW
+        spec = point_spec(p.a_w, p.a_m, count=3, alpha=p.alpha, delta=p.delta,
+                          gamma=p.gamma, beta=p.beta,
+                          subsidy=LEAD_OVERFLOW_SUBSIDY)
+        drawn = sample_household(spec, 0)
+        try:
+            want = solve_game(drawn, LEAD_OVERFLOW_SUBSIDY)
+        except NumericalFailure:
+            with pytest.raises(HouseholdSolveFailure) as exc:
+                aggregate(spec)
+            assert exc.value.index == 0
+            assert isinstance(exc.value.__cause__, NumericalFailure)
+        else:
+            assert aggregate(spec).mean_fertility == want.n_star
