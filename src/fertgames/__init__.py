@@ -18,7 +18,6 @@ from .core import (
 )
 from .errors import (
     BoundaryStatics,
-    BracketingFailure,
     DomainError,
     HouseholdSolveFailure,
     InvalidDistribution,
@@ -31,17 +30,9 @@ from .errors import (
     ParseError,
     PreferenceOrderViolated,
     ScenarioError,
-    StepTooLarge,
     UnknownKey,
 )
-from .extended import (
-    CubicFOC,
-    ExtendedEquilibrium,
-    cubic_coefficients,
-    positive_roots,
-    real_roots,
-    solve_extended,
-)
+from .extended import ExtendedEquilibrium, real_roots, solve_extended
 from .game import (
     GameEquilibrium,
     ReactionDecomposition,
@@ -75,8 +66,6 @@ __all__ = [
     "AggregateReport",
     "BenchmarkSolution",
     "BoundaryStatics",
-    "BracketingFailure",
-    "CubicFOC",
     "DomainError",
     "ExtendedEquilibrium",
     "GameEquilibrium",
@@ -97,14 +86,12 @@ __all__ = [
     "RegimeClassification",
     "ScenarioError",
     "StaticsReport",
-    "StepTooLarge",
     "UnknownKey",
     "aggregate",
     "analytic_partials_n",
     "analytic_partials_rho",
     "benchmark_solve",
     "build_report",
-    "cubic_coefficients",
     "equilibrium_transfer",
     "fd_check",
     "fertility_threshold",
@@ -112,7 +99,6 @@ __all__ = [
     "oracle_benchmark",
     "oracle_extended",
     "oracle_game",
-    "positive_roots",
     "ratio_partial",
     "real_roots",
     "sample_households",

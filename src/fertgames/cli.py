@@ -20,11 +20,9 @@ from . import statics as statics_mod
 from .core import ModelParams, benchmark_solve, utility_log_pair, validate_params
 from .errors import (
     BoundaryStatics,
-    BracketingFailure,
     HouseholdSolveFailure,
     MissingKey,
     ModelError,
-    NonFiniteObjective,
     NumericalFailure,
     ParseError,
     ScenarioError,
@@ -180,8 +178,7 @@ def _solve(cfg: ScenarioConfig) -> tuple[str, tuple]:
 def _statics_rows(cfg: ScenarioConfig) -> list[str]:
     if cfg.model != "game":
         raise ScenarioError("statics requires a game-model scenario")
-    p = validate_params(cfg.params)
-    report = statics_mod.build_report(p)
+    report = statics_mod.build_report(validate_params(cfg.params))
     notes = {
         "delta": f"{report.delta_regime.dominant}_dominates"
         f"({report.delta_regime.predicted_sign:+d})",
@@ -194,7 +191,7 @@ def _statics_rows(cfg: ScenarioConfig) -> list[str]:
                          report.partial_n[key], report.fd_n[key],
                          notes.get(key, "")))
     rows.append(_row("income_ratio", None, None, report.ratio_partial,
-                     statics_mod.ratio_fd(p), ""))
+                     report.ratio_fd, ""))
     return rows
 
 
@@ -307,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     threshold = sub.add_parser("threshold", help="critical wife income")
     threshold.add_argument("scenario")
-    threshold.add_argument("--param", default="a_w")
 
     population = sub.add_parser("population", help="aggregate a sampled population")
     population.add_argument("scenario")
@@ -345,14 +341,13 @@ def run_command(argv: list[str]) -> int:
         elif args.command == "threshold":
             if cfg.model != "game":
                 raise ScenarioError("threshold requires a game-model scenario")
-            value = fertility_threshold(validate_params(cfg.params), over=args.param)
-            _emit(["param,threshold", _row(args.param, value)], None)
+            value = fertility_threshold(validate_params(cfg.params))
+            _emit(["param,threshold", _row("a_w", value)], None)
         elif args.command == "population":
             _emit(_population_rows(cfg, args), None)
         else:  # pragma: no cover - argparse enforces the choices
             raise ScenarioError(f"unknown command {args.command!r}")
-    except (BracketingFailure, BoundaryStatics, NonFiniteObjective,
-            NumericalFailure, HouseholdSolveFailure) as exc:
+    except (BoundaryStatics, NumericalFailure, HouseholdSolveFailure) as exc:
         print(f"fertgames: solver failure: {exc}", file=sys.stderr)
         return 3
     except (ModelError, ValueError) as exc:

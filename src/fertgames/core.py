@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonPositiveParameter, PreferenceOrderViolated
+from .errors import DomainError, NonPositiveParameter, NumericalFailure, PreferenceOrderViolated
 
 # Slack for the weak participation inequalities, so an agent exactly at the
 # reservation utility counts as participating.
@@ -52,8 +52,12 @@ class ModelParams:
 
     @property
     def income_ratio(self) -> float:
-        """Wife-to-husband income ratio; fertility outcomes depend on it."""
-        return self.a_w / self.a_m
+        """Wife-to-husband income ratio; fertility outcomes depend on it.
+        Raises NumericalFailure when it leaves the floating-point range."""
+        ratio = self.a_w / self.a_m
+        if not 0.0 < ratio < math.inf:
+            raise NumericalFailure(f"income ratio {ratio!r} leaves the floating-point range")
+        return ratio
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,12 @@ def validate_params(raw: ModelParams) -> ModelParams:
     return raw
 
 
+def check_finite(what: str, *values: float) -> None:
+    """Raise NumericalFailure unless every one of ``values`` is finite."""
+    if not all(map(math.isfinite, values)):
+        raise NumericalFailure(f"{what} not finite: {values!r}")
+
+
 def utility_log_pair(
     p: ModelParams, c_w: float, c_m: float, n: float
 ) -> tuple[float, float]:
@@ -92,6 +102,7 @@ def utility_log_pair(
 
     Returns ``(u_w, u_m)`` with ``u_w = gamma*ln(c_w) - delta*ln(n)`` and
     ``u_m = ln(c_m) + alpha*ln(n)``. All three arguments must be positive.
+    Raises NumericalFailure when a utility is not finite.
     """
     if not (c_w > 0 and c_m > 0 and n > 0):
         raise DomainError(
@@ -99,6 +110,7 @@ def utility_log_pair(
         )
     u_w = p.gamma * math.log(c_w) - p.delta * math.log(n)
     u_m = math.log(c_m) + p.alpha * math.log(n)
+    check_finite("utilities", u_w, u_m)
     return u_w, u_m
 
 
@@ -109,6 +121,7 @@ def utility_linear_pair(
 
     Returns ``(u_w, u_m)`` with ``u_w = gamma*ln(c_w) - delta*n`` and
     ``u_m = ln(c_m) + alpha*n``. Consumptions must be positive; n may be 0.
+    Raises NumericalFailure when a utility is not finite.
     """
     if not (c_w > 0 and c_m > 0):
         raise DomainError(f"consumptions must be > 0, got ({c_w!r}, {c_m!r})")
@@ -116,6 +129,7 @@ def utility_linear_pair(
         raise DomainError(f"fertility must be >= 0, got {n!r}")
     u_w = p.gamma * math.log(c_w) - p.delta * n
     u_m = math.log(c_m) + p.alpha * n
+    check_finite("utilities", u_w, u_m)
     return u_w, u_m
 
 
@@ -158,6 +172,7 @@ def benchmark_solve(p: ModelParams) -> BenchmarkSolution:
     Requires ``alpha > delta``; with the order reversed the child weight is
     non-positive and the supremum degenerates (utility grows without bound
     as n shrinks to zero), so that case is a hard error rather than a clamp.
+    An allocation or utility outside the float range raises NumericalFailure.
     """
     validate_params(p)
     if not p.alpha > p.delta:
@@ -165,16 +180,20 @@ def benchmark_solve(p: ModelParams) -> BenchmarkSolution:
             f"alpha={p.alpha!r} must exceed delta={p.delta!r}"
         )
     c_w, c_m, n = pooled_allocation(p.alpha, p.delta, p.gamma, p.beta, p.a_w, p.a_m)
+    if not all(0.0 < v < math.inf for v in (c_w, c_m, n)):
+        raise NumericalFailure(f"pooled allocation {(c_w, c_m, n)!r} leaves the float range")
     u_family = (
         p.gamma * math.log(c_w)
         + math.log(c_m)
         + (p.alpha - p.delta) * math.log(n)
     )
     u_w, _ = utility_log_pair(p, c_w, c_m, n)
+    wife_utility_delta = u_w - p.gamma * math.log(p.a_w)
+    check_finite("utilities", u_family, wife_utility_delta)
     return BenchmarkSolution(
         n_star=n,
         c_w=c_w,
         c_m=c_m,
         u_family=u_family,
-        wife_utility_delta=u_w - p.gamma * math.log(p.a_w),
+        wife_utility_delta=wife_utility_delta,
     )

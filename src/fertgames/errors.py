@@ -27,17 +27,9 @@ class NonPositiveTransfer(ModelError):
     """Per-child transfer must be strictly positive."""
 
 
-class BracketingFailure(ModelError):
-    """No sign change could be bracketed on the search interval."""
-
-
 class BoundaryStatics(ModelError):
     """Comparative statics requested at (or across) the zero-fertility kink,
     where the clamped fertility is not differentiable."""
-
-
-class StepTooLarge(ModelError):
-    """Finite-difference step is too coarse relative to the evaluation point."""
 
 
 class NumericalFailure(ModelError):

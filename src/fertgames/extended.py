@@ -56,50 +56,14 @@ _NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
-class CubicFOC:
-    """Cubic stationarity condition of the husband's transfer choice.
-
-    Stores the coefficients of ``c3*x**3 + c2*x**2 + c1*x + c0`` along with
-    the wife's preference ratio ``gamma_ratio = gamma/delta`` that produced
-    them. For valid parameters ``c3 > 0`` and ``c2 > 0``; ``c0`` has the
-    sign of ``-k``, negative in the extended game.
-    """
-
-    c3: float
-    c2: float
-    c1: float
-    c0: float
-    gamma_ratio: float
-
-    @property
-    def coefficients(self) -> tuple[float, float, float, float]:
-        return (self.c3, self.c2, self.c1, self.c0)
-
-    def value(self, x: float) -> float:
-        return ((self.c3 * x + self.c2) * x + self.c1) * x + self.c0
-
-    def residual_scale(self, x: float) -> float:
-        """Magnitude of the largest monomial at x, for relative residuals."""
-        ax = abs(x)
-        return max(
-            1.0,
-            abs(self.c3) * ax * ax * ax,
-            abs(self.c2) * ax * ax,
-            abs(self.c1) * ax,
-            abs(self.c0),
-        )
-
-
-@dataclass(frozen=True)
 class ExtendedEquilibrium:
     """Root classification and induced allocation of the extended game.
 
-    ``foc``, ``real_roots`` and ``positive_roots`` describe the cubic in the
+    ``real_roots`` and ``positive_roots`` describe the cubic in the
     transfer. ``admissible_roots`` holds the selected root when it beats the
     no-birth corner, and is empty otherwise.
     """
 
-    foc: CubicFOC
     real_roots: tuple[float, ...]
     positive_roots: tuple[float, ...]
     admissible_roots: tuple[float, ...]
@@ -116,21 +80,12 @@ class ExtendedEquilibrium:
     diagnostics: tuple[str, ...]
 
 
-def _leader_cubic(g: float, alpha: float, a_w: float, a_m: float,
-                  k: float) -> CubicFOC:
-    return CubicFOC(
-        c3=g / a_w,
-        c2=alpha * g,
-        c1=k + alpha * k * g - alpha * (a_m + a_w),
-        c0=-alpha * k * a_w,
-        gamma_ratio=g,
-    )
-
-
-def cubic_coefficients(p: ModelParams) -> CubicFOC:
-    """Assemble the extended game's first-order cubic from the parameters."""
-    validate_params(p)
-    return _leader_cubic(p.gamma / p.delta, p.alpha, p.a_w, p.a_m, p.beta)
+def _leader_cubic(g, alpha, a_w, a_m, k):
+    """Coefficients ``(c3, c2, c1, c0)`` of the leader cubic, on floats or
+    arrays. For valid parameters ``c3 > 0`` and ``c2 > 0``; ``c0`` has the
+    sign of ``-k``, negative in the extended game."""
+    return (g / a_w, alpha * g, k + alpha * k * g - alpha * (a_m + a_w),
+            -alpha * k * a_w)
 
 
 def _polish(b: float, c: float, d: float, z: float) -> float:
@@ -148,8 +103,9 @@ def _polish(b: float, c: float, d: float, z: float) -> float:
     return z
 
 
-def real_roots(foc: CubicFOC) -> tuple[float, ...]:
-    """All real roots of the cubic, ascending, in closed form.
+def real_roots(coeffs: tuple[float, float, float, float]) -> tuple[float, ...]:
+    """All real roots of ``c3*x**3 + c2*x**2 + c1*x + c0``, ascending, in
+    closed form, from ``coeffs = (c3, c2, c1, c0)``.
 
     The cubic is made monic and scaled by a power of two ``t`` above
     ``max(|c2/c3|, |c1/c3|**(1/2), |c0/c3|**(1/3))``, which bounds every
@@ -167,7 +123,7 @@ def real_roots(foc: CubicFOC) -> tuple[float, ...]:
     Raises NumericalFailure when a coefficient is not finite, or when the
     roots lie or spread beyond the floating-point range.
     """
-    c3, c2, c1, c0 = coeffs = foc.coefficients
+    c3, c2, c1, c0 = coeffs
     if not all(map(math.isfinite, coeffs)):
         raise NumericalFailure(f"cubic coefficients {coeffs!r} are not finite")
     if c3 == 0.0:
@@ -235,11 +191,6 @@ def real_roots(foc: CubicFOC) -> tuple[float, ...]:
     return tuple(sorted(math.ldexp(z, exp) for z in zs))
 
 
-def positive_roots(foc: CubicFOC) -> tuple[float, ...]:
-    """Strictly positive real roots, ascending."""
-    return tuple(r for r in real_roots(foc) if r > 0.0)
-
-
 def leader_optimum(
     p: ModelParams, paid: float, subsidy: float
 ) -> tuple[tuple[float, ...], float | None, float, float, float]:
@@ -251,17 +202,13 @@ def leader_optimum(
     consumptions. Parameters must already be validated.
     """
     g = p.gamma / p.delta
-    ratio = p.a_w / p.a_m
-    if not 0.0 < ratio < math.inf:
-        raise NumericalFailure(
-            f"income ratio {p.a_w!r}/{p.a_m!r} leaves the floating-point range"
-        )
+    ratio = p.income_ratio
     kappa = (paid - subsidy) / p.a_m
     sigma = subsidy / p.a_m
-    foc = _leader_cubic(g, p.alpha, ratio, 1.0, kappa)
-    if foc.c3 == 0.0 or foc.c0 == 0.0:
-        raise NumericalFailure(f"leader cubic {foc.coefficients!r} underflows")
-    roots = real_roots(foc)
+    coeffs = _leader_cubic(g, p.alpha, ratio, 1.0, kappa)
+    if coeffs[0] == 0.0 or coeffs[3] == 0.0:
+        raise NumericalFailure(f"leader cubic {coeffs!r} underflows")
+    roots = real_roots(coeffs)
 
     # Candidates as (r, rho) in units of a_m. His utility is measured from
     # the no-birth corner, where he keeps a_m: ln(c_m/a_m) + alpha*n.
@@ -407,7 +354,7 @@ def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
         ratio = a_w / a_m
         kappa = (paid - subsidy) / a_m
         sigma = subsidy / a_m
-        c3, c2, c1, c0 = _leader_cubic(g, alpha, ratio, 1.0, kappa).coefficients
+        c3, c2, c1, c0 = _leader_cubic(g, alpha, ratio, 1.0, kappa)
         roots, ok = _real_roots_arrays(c3, c2, c1, c0)
         ok &= (ratio > 0.0) & (ratio < math.inf) & (c3 != 0.0) & (c0 != 0.0)
 
@@ -470,7 +417,6 @@ def solve_extended(p: ModelParams, regime: str) -> ExtendedEquilibrium:
     u_w, u_m = utility_linear_pair(p, c_w, c_m, n)
     wife, husband = participation(p, u_w, u_m)
     return ExtendedEquilibrium(
-        foc=_leader_cubic(p.gamma / p.delta, p.alpha, p.a_w, p.a_m, p.beta),
         real_roots=roots,
         positive_roots=pos,
         admissible_roots=admissible,

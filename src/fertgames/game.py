@@ -23,12 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .core import ModelParams, participation, utility_linear_pair, validate_params
-from .errors import (
-    BracketingFailure,
-    NonPositiveParameter,
-    NonPositiveTransfer,
-    NumericalFailure,
-)
+from .errors import NonPositiveParameter, NonPositiveTransfer, NumericalFailure
 from .extended import leader_optimum
 
 
@@ -103,18 +98,17 @@ def equilibrium_transfer(p: ModelParams) -> float:
     the power of two ``2**-e`` that brings the larger below 1, and the root
     is scaled back: exact in binary, and ``q`` no longer overflows near 1e300
     or underflows near 1e-300. Raises NumericalFailure when the transfer
-    itself exceeds the float range.
+    itself exceeds the float range, or the scaling flushes the root's terms to 0.
     """
     validate_params(p)
     a_w, a_m = p.a_w, p.a_m
     _, e = math.frexp(a_w if a_w > a_m else a_m)
-    rho = transfer_root(p.alpha, p.delta, p.gamma, math.ldexp(a_w, -e),
-                        math.ldexp(a_m, -e), math.sqrt)
     try:
-        return math.ldexp(rho, e)
-    except OverflowError:
+        return math.ldexp(transfer_root(p.alpha, p.delta, p.gamma, math.ldexp(a_w, -e),
+                                        math.ldexp(a_m, -e), math.sqrt), e)
+    except (ZeroDivisionError, OverflowError):
         raise NumericalFailure(
-            f"equilibrium transfer {rho!r} * 2**{e} exceeds the float range"
+            f"the transfer at incomes {a_w!r} and {a_m!r} leaves the floating-point range"
         ) from None
 
 
@@ -159,12 +153,7 @@ def solve_game(p: ModelParams, subsidy: float = 0.0) -> GameEquilibrium:
     )
 
 
-def fertility_threshold(
-    p: ModelParams,
-    over: str = "a_w",
-    hi: float | None = None,
-    rtol: float = 1e-8,
-) -> float:
+def fertility_threshold(p: ModelParams, rtol: float = 1e-8) -> float:
     """Critical wife income at which equilibrium fertility first hits zero.
 
     Fertility vanishes where ``rho* = a_w*delta/gamma``; substituting this
@@ -172,14 +161,11 @@ def fertility_threshold(
 
         a_w_crit = alpha*gamma*a_m/delta.
 
-    ``hi`` optionally bounds the wife's income from above; a
-    BracketingFailure is raised when the threshold is not below it. ``rtol``
-    is ignored: the closed form is exact to rounding.
+    ``rtol`` is ignored: the closed form is exact to rounding. Raises
+    NumericalFailure when the threshold leaves the floating-point range.
     """
     validate_params(p)
-    if over != "a_w":
-        raise ValueError(f"threshold search only supports 'a_w', got {over!r}")
     threshold = p.alpha * p.gamma * p.a_m / p.delta
-    if hi is not None and not threshold < hi:
-        raise BracketingFailure(f"fertility threshold {threshold!r} is not below {hi!r}")
+    if not 0.0 < threshold < math.inf:
+        raise NumericalFailure(f"fertility threshold {threshold!r} leaves the float range")
     return threshold

@@ -298,7 +298,8 @@ def _solve_arrays(spec: PopulationSpec, alpha, delta, gamma, beta, a_w, a_m):
     with np.errstate(all="ignore"):
         if spec.model == "benchmark":
             c_w, c_m, n = pooled_allocation(alpha, delta, gamma, beta, a_w, a_m)
-            return n, None, (alpha > delta) & (c_w > 0) & (c_m > 0) & (n > 0)
+            return n, None, ((alpha > delta) & (c_w > 0) & (c_m > 0) & (n > 0)
+                             & np.isfinite([c_w, c_m, n]).all(axis=0))
         if spec.model == "game" and spec.subsidy == 0:
             e = np.frexp(np.maximum(a_w, a_m))[1]
             rho = np.ldexp(transfer_root(alpha, delta, gamma, np.ldexp(a_w, -e),
@@ -343,8 +344,8 @@ def _solve(spec: PopulationSpec, columns: tuple):
 
 
 def _left_sum(values: list[float]) -> float:
-    """Left-to-right sum, one rounding per addition, which defines the
-    decile means; the builtin ``sum`` compensates from Python 3.12 on."""
+    """Left-to-right sum, one rounding per addition, which defines every
+    mean; the builtin ``sum`` compensates from Python 3.12 on."""
     total = 0.0
     for value in values:
         total += value
@@ -383,10 +384,10 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
             "subsidy funded from general revenue; no spousal budget deduction"
         )
     return AggregateReport(
-        mean_fertility=sum(n.tolist()) / count,
+        mean_fertility=_left_sum(n.tolist()) / count,
         childless_share=int(np.count_nonzero(n <= 0.0)) / count,
-        mean_transfer=(sum(transfers) / len(transfers)) if transfers else None,
-        mean_income_ratio=sum(ratios.tolist()) / count,
+        mean_transfer=(_left_sum(transfers) / len(transfers)) if transfers else None,
+        mean_income_ratio=_left_sum(ratios.tolist()) / count,
         fertility_by_ratio_decile=decile_means,
         decile_counts=decile_counts,
         notes=tuple(notes),

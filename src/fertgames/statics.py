@@ -14,17 +14,19 @@ transfer term, and the sign classification reports which channel dominates.
 All derivatives here are of the unclamped equilibrium; at the zero-fertility
 corner the clamp makes n* non-differentiable, so statics on n raise
 ``BoundaryStatics`` there (one-sided differences cross the kink silently
-otherwise, which is worse than refusing).
+otherwise, which is worse than refusing). A value beyond the float range, or
+a divisor that underflows to zero, raises ``NumericalFailure``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import wraps
 
-from .core import ModelParams, validate_params
-from .errors import BoundaryStatics, StepTooLarge
-from .game import equilibrium_transfer, solve_game
+from .core import ModelParams, check_finite, validate_params
+from .errors import BoundaryStatics, NumericalFailure
+from .game import GameEquilibrium, equilibrium_transfer, solve_game
 
 PARTIAL_KEYS = ("alpha", "delta", "gamma", "a_w", "a_m")
 
@@ -61,13 +63,40 @@ class StaticsReport:
     delta_regime: RegimeClassification
     gamma_regime: RegimeClassification
     ratio_partial: float
+    ratio_fd: float
 
 
+def _finite(fn):
+    """``fn``, refusing with NumericalFailure where it divides by a value that
+    underflows to zero or returns a value, or dict of values, not finite."""
+
+    @wraps(fn)
+    def checked(*args):
+        try:
+            out = fn(*args)
+        except ZeroDivisionError:
+            raise NumericalFailure(f"{fn.__name__}: a divisor underflows to zero") from None
+        check_finite(fn.__name__, *(out.values() if isinstance(out, dict) else (out,)))
+        return out
+
+    return checked
+
+
+def _interior(p: ModelParams) -> GameEquilibrium:
+    """The game's equilibrium, refused at the non-differentiable corner."""
+    eq = solve_game(p)
+    if not eq.interior:
+        raise BoundaryStatics("fertility is clamped at zero at this point")
+    return eq
+
+
+@_finite
 def transfer_radicand(p: ModelParams) -> float:
     half = 0.5 * p.alpha * p.a_w
     return half * half + (p.alpha * p.delta / p.gamma) * p.a_w * (p.a_w + p.a_m)
 
 
+@_finite
 def analytic_partials_rho(p: ModelParams) -> dict[str, float]:
     """Closed-form partials of the equilibrium transfer.
 
@@ -96,19 +125,9 @@ def analytic_partials_rho(p: ModelParams) -> dict[str, float]:
     }
 
 
-def analytic_partials_n(p: ModelParams) -> dict[str, float]:
-    """Chain-rule partials of equilibrium fertility, interior points only.
-
-    From ``n* = gamma/delta - a_w/rho*``, every parameter acts through
-    ``(a_w/rho*^2) * d rho*/d theta``, plus the direct terms ``-gamma/delta^2``
-    (for delta), ``1/delta`` (for gamma) and ``-1/rho*`` (for a_w).
-    """
-    eq = solve_game(p)
-    if not eq.interior:
-        raise BoundaryStatics("fertility is clamped at zero at this point")
-    rho = eq.rho_star
+@_finite
+def _partials_n(p: ModelParams, rho: float, d_rho: dict[str, float]) -> dict[str, float]:
     lever = p.a_w / (rho * rho)
-    d_rho = analytic_partials_rho(p)
     return {
         "alpha": lever * d_rho["alpha"],
         "delta": -p.gamma / (p.delta * p.delta) + lever * d_rho["delta"],
@@ -116,6 +135,21 @@ def analytic_partials_n(p: ModelParams) -> dict[str, float]:
         "a_w": -1.0 / rho + lever * d_rho["a_w"],
         "a_m": lever * d_rho["a_m"],
     }
+
+
+def analytic_partials_n(p: ModelParams) -> dict[str, float]:
+    """Chain-rule partials of equilibrium fertility, interior points only.
+
+    From ``n* = gamma/delta - a_w/rho*``, every parameter acts through
+    ``(a_w/rho*^2) * d rho*/d theta``, plus the direct terms ``-gamma/delta^2``
+    (for delta), ``1/delta`` (for gamma) and ``-1/rho*`` (for a_w).
+    """
+    return _partials_n(p, _interior(p).rho_star, analytic_partials_rho(p))
+
+
+@_finite
+def _ratio_partial(p: ModelParams, rho: float, d_aw: float) -> float:
+    return -(p.a_m / (rho * rho)) * (rho - p.a_w * d_aw)
 
 
 def ratio_partial(p: ModelParams) -> float:
@@ -129,62 +163,63 @@ def ratio_partial(p: ModelParams) -> float:
     ``a_m * d rho*/d a_m`` by Euler's identity (rho* is homogeneous of
     degree one in incomes), so the response is negative everywhere interior.
     """
-    eq = solve_game(p)
-    if not eq.interior:
-        raise BoundaryStatics("fertility is clamped at zero at this point")
-    rho = eq.rho_star
-    d_aw = analytic_partials_rho(p)["a_w"]
-    return -(p.a_m / (rho * rho)) * (rho - p.a_w * d_aw)
+    return _ratio_partial(p, _interior(p).rho_star, analytic_partials_rho(p)["a_w"])
 
 
-def ratio_fd(p: ModelParams, h: float | None = None) -> float:
+@_finite
+def ratio_fd(p: ModelParams) -> float:
     """Central finite difference of n* in the income ratio, husband fixed."""
-    ratio = p.a_w / p.a_m
-    if h is None:
-        h = _FD_RELATIVE_STEP * ratio
-    if not ratio > 10.0 * h:
-        raise StepTooLarge(f"step {h!r} too large for income ratio {ratio!r}")
-
-    def n_at(r: float) -> float:
-        eq = solve_game(replace(p, a_w=r * p.a_m))
-        if not eq.interior:
-            raise BoundaryStatics("fertility is clamped at zero at this point")
-        return eq.n_star
-
-    return (n_at(ratio + h) - n_at(ratio - h)) / (2.0 * h)
+    ratio = validate_params(p).income_ratio
+    h = _FD_RELATIVE_STEP * ratio
+    hi = _interior(replace(p, a_w=(ratio + h) * p.a_m)).n_star
+    lo = _interior(replace(p, a_w=(ratio - h) * p.a_m)).n_star
+    return (hi - lo) / (2.0 * h)
 
 
 def _target_value(p: ModelParams, target: str) -> float:
     if target == "rho":
         return equilibrium_transfer(p)
     if target == "n":
-        eq = solve_game(p)
-        if not eq.interior:
-            raise BoundaryStatics("fertility is clamped at zero at this point")
-        return eq.n_star
+        return _interior(p).n_star
     raise ValueError(f"target must be 'rho' or 'n', got {target!r}")
 
 
-def fd_check(
-    p: ModelParams, target: str, param: str, h: float | None = None
-) -> float:
+@_finite
+def fd_check(p: ModelParams, target: str, param: str) -> float:
     """Central finite difference of rho* or n* in one parameter.
 
-    The step defaults to 1e-6 times the parameter value and must stay below
-    a tenth of it. For target 'n' the stencil must not cross the
-    zero-fertility kink; BoundaryStatics is raised when it does.
+    The step is 1e-6 times the parameter value. For target 'n' the stencil
+    must not cross the zero-fertility kink; BoundaryStatics is raised when
+    it does.
     """
     validate_params(p)
     if param not in PARTIAL_KEYS:
         raise ValueError(f"param must be one of {PARTIAL_KEYS}, got {param!r}")
     x = getattr(p, param)
-    if h is None:
-        h = _FD_RELATIVE_STEP * abs(x)
-    if not x > 10.0 * h:
-        raise StepTooLarge(f"step {h!r} too large for {param}={x!r}")
+    h = _FD_RELATIVE_STEP * x
     hi = _target_value(replace(p, **{param: x + h}), target)
     lo = _target_value(replace(p, **{param: x - h}), target)
     return (hi - lo) / (2.0 * h)
+
+
+def _regimes(
+    p: ModelParams, rho: float, d_rho: dict[str, float], d_n: dict[str, float]
+) -> tuple[RegimeClassification, RegimeClassification]:
+    lever = p.a_w / (rho * rho)
+    # (param, transfer term, preference term, dominant channel when the
+    # fertility partial is negative, zero, positive)
+    regimes = (
+        ("delta", lever * d_rho["delta"], p.gamma / (p.delta * p.delta),
+         ("preference", "balanced", "transfer")),
+        ("gamma", -lever * d_rho["gamma"], 1.0 / p.delta,
+         ("transfer", "balanced", "preference")),
+    )
+    out = []
+    for param, transfer_term, preference_term, dominant in regimes:
+        sign = (d_n[param] > 0) - (d_n[param] < 0)
+        out.append(RegimeClassification(param, transfer_term, preference_term,
+                                        dominant[sign + 1], sign))
+    return tuple(out)
 
 
 def sign_regimes(
@@ -196,67 +231,25 @@ def sign_regimes(
     transfer response ``(a_w/rho*^2) * d rho*/d delta`` outweighs the direct
     preference loss ``gamma/delta^2``. For her consumption taste gamma, it
     rises only when the direct preference gain ``1/delta`` outweighs the
-    induced transfer loss ``-(a_w/rho*^2) * d rho*/d gamma``. Each predicted
-    sign is checked against the analytic fertility partial before returning.
+    induced transfer loss ``-(a_w/rho*^2) * d rho*/d gamma``. The fertility
+    partial is, bit for bit, the transfer term minus the preference term for
+    delta and its negative for gamma, so its sign names the dominant channel.
     """
-    d_n = analytic_partials_n(p)
-    rho = equilibrium_transfer(p)
-    lever = p.a_w / (rho * rho)
+    rho = _interior(p).rho_star
     d_rho = analytic_partials_rho(p)
-
-    def classify(param: str, transfer_term: float, preference_term: float,
-                 rises_with: str) -> RegimeClassification:
-        diff = transfer_term - preference_term
-        if diff > 0:
-            dominant = "transfer"
-        elif diff < 0:
-            dominant = "preference"
-        else:
-            dominant = "balanced"
-        if dominant == "balanced":
-            predicted = 0
-        elif dominant == rises_with:
-            predicted = 1
-        else:
-            predicted = -1
-        actual = d_n[param]
-        if predicted * actual < 0 or (predicted == 0) != (actual == 0):
-            raise RuntimeError(
-                f"regime classification for {param} predicts sign {predicted} "
-                f"but the analytic partial is {actual!r}"
-            )
-        return RegimeClassification(
-            parameter=param,
-            transfer_term=transfer_term,
-            preference_term=preference_term,
-            dominant=dominant,
-            predicted_sign=predicted,
-        )
-
-    delta_regime = classify(
-        "delta",
-        transfer_term=lever * d_rho["delta"],
-        preference_term=p.gamma / (p.delta * p.delta),
-        rises_with="transfer",
-    )
-    gamma_regime = classify(
-        "gamma",
-        transfer_term=-lever * d_rho["gamma"],
-        preference_term=1.0 / p.delta,
-        rises_with="preference",
-    )
-    return delta_regime, gamma_regime
+    return _regimes(p, rho, d_rho, _partials_n(p, rho, d_rho))
 
 
 def build_report(p: ModelParams) -> StaticsReport:
     """Assemble the full statics report at one interior parameter point."""
+    eq = _interior(p)
+    rho = eq.rho_star
     d_rho = analytic_partials_rho(p)
-    d_n = analytic_partials_n(p)
-    delta_regime, gamma_regime = sign_regimes(p)
-    eq = solve_game(p)
+    d_n = _partials_n(p, rho, d_rho)
+    delta_regime, gamma_regime = _regimes(p, rho, d_rho, d_n)
     return StaticsReport(
         radicand=transfer_radicand(p),
-        rho_star=eq.rho_star,
+        rho_star=rho,
         n_star=eq.n_star,
         partial_rho=d_rho,
         partial_n=d_n,
@@ -264,5 +257,6 @@ def build_report(p: ModelParams) -> StaticsReport:
         fd_n={k: fd_check(p, "n", k) for k in PARTIAL_KEYS},
         delta_regime=delta_regime,
         gamma_regime=gamma_regime,
-        ratio_partial=ratio_partial(p),
+        ratio_partial=_ratio_partial(p, rho, d_rho["a_w"]),
+        ratio_fd=ratio_fd(p),
     )

@@ -1,4 +1,6 @@
-"""Shared draw helpers: log-uniform parameter sampling with a fixed seed."""
+"""Shared test helpers: log-uniform parameter sampling with a fixed seed, and
+the extended game's first-order cubic as a coefficient tuple
+``(c3, c2, c1, c0)``."""
 
 from __future__ import annotations
 
@@ -7,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from fertgames import ModelParams, solve_game
+from fertgames import ModelParams, real_roots, solve_game
+from fertgames.extended import _leader_cubic
 
 SEED = 20250811
 
@@ -63,3 +66,25 @@ def rng() -> np.random.Generator:
 
 def rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(abs(want), 1e-300)
+
+
+def extended_cubic(p: ModelParams) -> tuple[float, float, float, float]:
+    """The extended game's first-order cubic in the transfer."""
+    return _leader_cubic(p.gamma / p.delta, p.alpha, p.a_w, p.a_m, p.beta)
+
+
+def cubic_value(coeffs, x: float) -> float:
+    c3, c2, c1, c0 = coeffs
+    return ((c3 * x + c2) * x + c1) * x + c0
+
+
+def residual_scale(coeffs, x: float) -> float:
+    """Magnitude of the largest monomial at x, for relative residuals."""
+    c3, c2, c1, c0 = coeffs
+    ax = abs(x)
+    return max(1.0, abs(c3) * ax * ax * ax, abs(c2) * ax * ax, abs(c1) * ax, abs(c0))
+
+
+def positive_roots(coeffs) -> tuple[float, ...]:
+    """Strictly positive real roots, ascending."""
+    return tuple(r for r in real_roots(coeffs) if r > 0.0)

@@ -16,7 +16,6 @@ from fertgames import (
     analytic_partials_n,
     analytic_partials_rho,
     benchmark_solve,
-    cubic_coefficients,
     equilibrium_transfer,
     fd_check,
     fertility_threshold,
@@ -24,7 +23,6 @@ from fertgames import (
     oracle_benchmark,
     oracle_extended,
     oracle_game,
-    positive_roots,
     ratio_partial,
     solve_extended,
     solve_game,
@@ -38,7 +36,18 @@ from fertgames.oracle import (
 )
 from fertgames.population import LogNormalSpec, PopulationSpec, aggregate
 from fertgames.statics import PARTIAL_KEYS
-from conftest import SEED, draw_benchmark_params, draw_interior_params, draw_params, loguniform, rel_err
+from conftest import (
+    SEED,
+    cubic_value,
+    draw_benchmark_params,
+    draw_interior_params,
+    draw_params,
+    extended_cubic,
+    loguniform,
+    positive_roots,
+    rel_err,
+    residual_scale,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -237,9 +246,9 @@ def test_criterion_07_extended_model():
 
         rho_oracle = parabolic_refine(u, rho_golden, 1e-4 * ceiling,
                                       ceiling * 1e-12, ceiling * (1 - 1e-9))
-        foc = eq.foc
+        foc = extended_cubic(p)
         worst_resid = max(worst_resid,
-                          abs(foc.value(rho_oracle)) / foc.residual_scale(rho_oracle))
+                          abs(cubic_value(foc, rho_oracle)) / residual_scale(foc, rho_oracle))
         checked += 1
 
     anchor = solve_extended(ModelParams(1, 1, 1, 1, 1, 3), "high")
@@ -251,7 +260,7 @@ def test_criterion_07_extended_model():
     counts = {}
     rng_roots = np.random.default_rng(SEED + 77)
     for _ in range(10_000):
-        k = len(positive_roots(cubic_coefficients(draw_params(rng_roots))))
+        k = len(positive_roots(extended_cubic(draw_params(rng_roots))))
         counts[k] = counts.get(k, 0) + 1
     count_ok = counts == {1: 10_000}
     report(7, worst_resid < 1e-6 and anchor_ok and count_ok,

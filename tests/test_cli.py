@@ -107,16 +107,15 @@ class TestExitCodes:
         assert out.out == ""
         assert "solver failure" in out.err
 
-    def test_threshold_bracketing_failure_is_three(self, tmp_path, capsys,
-                                                   monkeypatch):
-        import fertgames.cli as cli_mod
-
-        def fail(*args, **kwargs):
-            from fertgames import BracketingFailure
-            raise BracketingFailure("no sign change")
-
-        monkeypatch.setattr(cli_mod, "fertility_threshold", fail)
-        assert run_command(["threshold", GAME_ANCHOR]) == 3
+    def test_threshold_bracketing_failure_is_three(self, tmp_path, capsys):
+        # The threshold alpha*gamma*a_m/delta = 3e600 exceeds the float range.
+        scn = tmp_path / "far.scn"
+        scn.write_text("model = game\nalpha = 1e200\ndelta = 1e-200\n"
+                       "gamma = 1e200\na_w = 1\na_m = 3\n")
+        assert run_command(["threshold", str(scn)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "solver failure" in out.err
 
     def test_subsidy_on_benchmark_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

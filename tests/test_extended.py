@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 
 from fertgames import (
-    CubicFOC,
     ModelParams,
-    cubic_coefficients,
     equilibrium_transfer,
     oracle_extended,
-    positive_roots,
     real_roots,
     solve_extended,
     solve_game,
 )
 from fertgames.extended import NO_INTERIOR_OPTIMUM, REGIME_DEGENERATE, SINGLE_POSITIVE_ROOT
-from conftest import draw_params, rel_err
+from conftest import (
+    cubic_value,
+    draw_params,
+    extended_cubic,
+    positive_roots,
+    rel_err,
+    residual_scale,
+)
 
 ANCHOR = ModelParams(alpha=1, delta=1, gamma=1, beta=1, a_w=1, a_m=3)
 
@@ -64,23 +68,20 @@ def utility_third_derivative(p: ModelParams, rho: float) -> float:
 
 class TestCubicCoefficients:
     def test_anchor(self):
-        foc = cubic_coefficients(ANCHOR)
-        assert foc.coefficients == pytest.approx((1.0, 1.0, -2.0, -1.0))
-        assert foc.gamma_ratio == 1.0
+        assert extended_cubic(ANCHOR) == pytest.approx((1.0, 1.0, -2.0, -1.0))
 
     def test_depends_only_on_preference_ratio(self):
         scaled = ModelParams(alpha=1, delta=2, gamma=2, beta=1, a_w=1, a_m=3)
-        assert cubic_coefficients(scaled).coefficients == pytest.approx(
-            cubic_coefficients(ANCHOR).coefficients)
+        assert extended_cubic(scaled) == pytest.approx(extended_cubic(ANCHOR))
 
     def test_equal_incomes(self):
-        foc = cubic_coefficients(ModelParams(1, 1, 1, 1, a_w=2, a_m=2))
-        assert foc.coefficients == pytest.approx((0.5, 1.0, -2.0, -2.0))
+        foc = extended_cubic(ModelParams(1, 1, 1, 1, a_w=2, a_m=2))
+        assert foc == pytest.approx((0.5, 1.0, -2.0, -2.0))
 
     def test_sign_pattern(self, rng):
         for _ in range(200):
-            foc = cubic_coefficients(draw_params(rng))
-            assert foc.c3 > 0 and foc.c2 > 0 and foc.c0 < 0
+            c3, c2, _, c0 = extended_cubic(draw_params(rng))
+            assert c3 > 0 and c2 > 0 and c0 < 0
 
     def test_cubic_matches_utility_derivative(self, rng):
         # The assembled cubic must reproduce the derivative of the husband's
@@ -88,7 +89,7 @@ class TestCubicCoefficients:
         # parameter points against a central difference.
         for _ in range(5):
             p = draw_params(rng)
-            foc = cubic_coefficients(p)
+            foc = extended_cubic(p)
             ceiling_root = max(positive_roots(foc))
             for frac in (0.6, 0.9, 1.2):
                 rho = ceiling_root * frac
@@ -102,27 +103,27 @@ class TestCubicCoefficients:
                 if cm_lo <= 0 or cm_hi <= 0:
                     continue
                 fd = (husband_utility(p, rho + h) - husband_utility(p, rho - h)) / (2 * h)
-                implied = -p.a_w * foc.value(rho) / (rho**3 * c_m)
+                implied = -p.a_w * cubic_value(foc, rho) / (rho**3 * c_m)
                 assert abs(fd - implied) < 1e-8 * max(1.0, abs(fd))
 
 
 class TestRootIsolation:
     def test_anchor_positive_root(self):
-        roots = positive_roots(CubicFOC(1.0, 1.0, -2.0, -1.0, gamma_ratio=1.0))
+        roots = positive_roots((1.0, 1.0, -2.0, -1.0))
         assert len(roots) == 1
         assert roots[0] == pytest.approx(ANCHOR_RHO, abs=1e-12)
 
     def test_pure_cube(self):
-        roots = positive_roots(CubicFOC(1.0, 0.0, 0.0, -8.0, gamma_ratio=1.0))
+        roots = positive_roots((1.0, 0.0, 0.0, -8.0))
         assert roots == pytest.approx((2.0,), abs=1e-12)
 
     def test_three_synthetic_roots(self):
-        roots = positive_roots(CubicFOC(1.0, -6.0, 11.0, -6.0, gamma_ratio=1.0))
+        roots = positive_roots((1.0, -6.0, 11.0, -6.0))
         assert len(roots) == 3
         assert roots == pytest.approx((1.0, 2.0, 3.0), abs=1e-10)
 
     def test_real_roots_include_negatives(self):
-        roots = real_roots(CubicFOC(1.0, 1.0, -2.0, -1.0, gamma_ratio=1.0))
+        roots = real_roots((1.0, 1.0, -2.0, -1.0))
         assert len(roots) == 3
         assert roots == pytest.approx(
             tuple(2.0 * math.cos(2.0 * math.pi * k / 7.0) for k in (3, 2, 1)),
@@ -130,29 +131,27 @@ class TestRootIsolation:
 
     def test_double_root_detected(self):
         # (x - 1)^2 * (x - 3) = x^3 - 5x^2 + 7x - 3
-        roots = real_roots(CubicFOC(1.0, -5.0, 7.0, -3.0, gamma_ratio=1.0))
+        roots = real_roots((1.0, -5.0, 7.0, -3.0))
         assert roots == pytest.approx((1.0, 3.0), abs=1e-6)
 
     def test_residuals_below_tolerance(self, rng):
         for _ in range(300):
-            foc = CubicFOC(
-                c3=float(rng.normal()) or 1.0,
-                c2=float(rng.normal()),
-                c1=float(rng.normal()),
-                c0=float(rng.normal()),
-                gamma_ratio=1.0,
+            foc = (
+                float(rng.normal()) or 1.0,
+                float(rng.normal()),
+                float(rng.normal()),
+                float(rng.normal()),
             )
             for r in real_roots(foc):
-                assert abs(foc.value(r)) < 1e-12 * foc.residual_scale(r)
-                assert abs(foc.value(r)) < 1e-9 * max(1.0, abs(foc.c0))
+                assert abs(cubic_value(foc, r)) < 1e-12 * residual_scale(foc, r)
+                assert abs(cubic_value(foc, r)) < 1e-9 * max(1.0, abs(foc[3]))
 
     def test_matches_numpy_roots(self, rng):
         for _ in range(300):
             coeffs = [float(rng.normal()) for _ in range(4)]
             if abs(coeffs[0]) < 1e-3:
                 coeffs[0] = 1.0
-            foc = CubicFOC(*coeffs, gamma_ratio=1.0)
-            mine = real_roots(foc)
+            mine = real_roots(tuple(coeffs))
             ref = sorted(z.real for z in np.roots(coeffs) if abs(z.imag) < 1e-9)
             assert len(mine) == len(ref)
             for a, b in zip(mine, ref):
@@ -160,8 +159,7 @@ class TestRootIsolation:
 
     def test_model_cubic_has_exactly_one_positive_root(self, rng):
         for _ in range(1000):
-            foc = cubic_coefficients(draw_params(rng))
-            assert len(positive_roots(foc)) == 1
+            assert len(positive_roots(extended_cubic(draw_params(rng)))) == 1
 
 
 class TestSolveExtended:
@@ -212,8 +210,9 @@ class TestSolveExtended:
         for _ in range(200):
             p = draw_params(rng)
             eq = solve_extended(p, "high")
+            foc = extended_cubic(p)
             for r in eq.real_roots:
-                assert abs(eq.foc.value(r)) < 1e-9 * max(1.0, abs(eq.foc.c0))
+                assert abs(cubic_value(foc, r)) < 1e-9 * max(1.0, abs(foc[3]))
             if eq.admissible_roots:
                 assert eq.selected_rho in eq.admissible_roots
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fertgames import (
-    BracketingFailure,
     ModelParams,
     NonPositiveTransfer,
     NumericalFailure,
@@ -235,14 +234,6 @@ class TestFertilityThreshold:
         above = solve_game(ModelParams(2, 1, 1, 1, crit * 1.001, 3))
         assert below.n_star > 0
         assert above.n_star == 0.0
-
-    def test_bracketing_failure_when_interval_too_small(self):
-        with pytest.raises(BracketingFailure):
-            fertility_threshold(ANCHOR, hi=2.0)
-
-    def test_only_wife_income_supported(self):
-        with pytest.raises(ValueError):
-            fertility_threshold(ANCHOR, over="a_m")
 
     def test_agrees_with_closed_form(self, rng):
         for _ in range(50):

@@ -43,6 +43,15 @@ def reference_household(spec: PopulationSpec, index: int) -> ModelParams:
     return ModelParams(a_w=a_w, a_m=a_m, **prefs)
 
 
+def left_sum(values) -> float:
+    """Sum left to right, one rounding per addition, on every Python version
+    (the builtin ``sum`` compensates from Python 3.12 on)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def reference_aggregate(spec: PopulationSpec) -> AggregateReport:
     """One household at a time: scalar draw, scalar solve, sorted deciles."""
     fertility, transfers, ratios = [], [], []
@@ -64,10 +73,10 @@ def reference_aggregate(spec: PopulationSpec) -> AggregateReport:
     notes = ("subsidy funded from general revenue; no spousal budget deduction",
              ) if spec.subsidy > 0 else ()
     return AggregateReport(
-        mean_fertility=sum(fertility) / count,
+        mean_fertility=left_sum(fertility) / count,
         childless_share=sum(1 for n in fertility if n <= 0.0) / count,
-        mean_transfer=(sum(transfers) / len(transfers)) if transfers else None,
-        mean_income_ratio=sum(ratios) / count,
+        mean_transfer=(left_sum(transfers) / len(transfers)) if transfers else None,
+        mean_income_ratio=left_sum(ratios) / count,
         fertility_by_ratio_decile=tuple(
             decile_sums[b] / decile_counts[b] if decile_counts[b] else math.nan
             for b in range(10)),
@@ -299,6 +308,34 @@ class TestAggregate:
                                    alpha=1.0, regime="high"))
         assert ext.mean_fertility == pytest.approx(0.19806226, abs=1e-6)
         assert ext.mean_transfer == pytest.approx(1.24697960, abs=1e-6)
+
+    def test_means_are_left_to_right_sums(self):
+        spec = PopulationSpec(count=1000, seed=7, aw_dist=LogNormalSpec(0.0, 0.5),
+                              am_dist=LogNormalSpec(math.log(3.0), 0.5),
+                              alpha=(1.5, 3.0), delta=1.0, gamma=1.0, beta=1.0)
+        households = sample_households(spec)
+        ratios = [p.a_w / p.a_m for p in households]
+        solved = [solve_game(p) for p in households]
+        transfers = [eq.rho_star for eq in solved if eq.interior]
+        report = aggregate(spec)
+        assert report.mean_fertility == left_sum(eq.n_star for eq in solved) / 1000
+        assert report.mean_transfer == left_sum(transfers) / len(transfers)
+        assert report.mean_income_ratio == left_sum(ratios) / 1000
+        # The population tells the orders apart: a compensated sum, as the
+        # builtin sum is from Python 3.12 on, rounds each mean differently.
+        assert report.mean_income_ratio != math.fsum(ratios) / 1000
+        assert report.mean_transfer != math.fsum(transfers) / len(transfers)
+
+    def test_unrepresentable_households_fail(self):
+        # Incomes of 1e308 put the pooled budget beyond the float range; the
+        # game's power-of-two scaling flushes an income of 1e-300 beside one
+        # of 1e30 to zero.
+        for spec in (point_spec(1e308, 1e308, count=3, model="benchmark"),
+                     point_spec(1e-300, 1e30, count=3)):
+            with pytest.raises(HouseholdSolveFailure) as exc:
+                aggregate(spec)
+            assert exc.value.index == 0
+            assert isinstance(exc.value.__cause__, NumericalFailure)
 
     def test_household_failure_carries_index(self):
         # alpha < delta breaks the pooled-budget precondition.

@@ -1,0 +1,104 @@
+"""The closed-form routes over the whole positive float range.
+
+Every route returns only finite floats or raises a ModelError; a valid input
+whose answer leaves the floating-point range is a NumericalFailure, exit 3
+from the CLI. The leader cubic's routes (extended game, subsidized game) are
+not covered here.
+"""
+
+import math
+from dataclasses import fields, is_dataclass
+
+import numpy as np
+import pytest
+
+from fertgames import (
+    ModelError,
+    ModelParams,
+    NumericalFailure,
+    benchmark_solve,
+    build_report,
+    fd_check,
+    fertility_threshold,
+    sign_regimes,
+    solve_game,
+)
+from fertgames.cli import run_command
+from fertgames.statics import ratio_fd
+
+ROUTES = (benchmark_solve, solve_game, fertility_threshold, build_report, ratio_fd)
+
+# The power-of-two scaling of the game's quadratic flushes a_w to zero.
+FLUSHED_INCOME = ModelParams(2, 1, 1, 1, 5e-324, 3)
+# alpha*gamma*a_m/delta = 3e600.
+THRESHOLD_OVERFLOW = ModelParams(1e200, 1e-200, 1e200, 1, 1, 3)
+# The pooled budget a_w + a_m overflows.
+BUDGET_OVERFLOW = ModelParams(2, 1, 1, 1, 1e308, 1e308)
+# The wife's pooled consumption underflows to zero.
+CONSUMPTION_UNDERFLOW = ModelParams(
+    alpha=5.189242538305108e+149, delta=3.40513733805451e+113,
+    gamma=3.9202583767045545e-128, beta=2.378227792783546e-105,
+    a_w=1.2802385853184857e-73, a_m=2.2764574504243317e-51)
+# An interior game whose fertility partial in gamma is NaN.
+NAN_PARTIAL = ModelParams(
+    alpha=5.197481855818512e+41, delta=1.832903779693475e+125,
+    gamma=1.1645317484861312e+114, beta=2.060587035606783e-115,
+    a_w=9.333575082177382e+63, a_m=9.472029347256932e+82)
+
+
+def floats(value):
+    if is_dataclass(value):
+        for f in fields(value):
+            yield from floats(getattr(value, f.name))
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from floats(v)
+    elif isinstance(value, float):
+        yield value
+
+
+@pytest.mark.parametrize("decades", [150, 300])
+def test_finite_or_model_error(decades):
+    rng = np.random.default_rng([20251018, decades])
+    span = decades * math.log(10.0)
+    for _ in range(2000):
+        p = ModelParams(*map(float, np.exp(rng.uniform(-span, span, 6))))
+        for route in ROUTES:
+            try:
+                result = route(p)
+            except ModelError:
+                continue
+            assert all(map(math.isfinite, floats(result))), (route.__name__, p, result)
+
+
+@pytest.mark.parametrize("route,p", [
+    (solve_game, FLUSHED_INCOME),
+    (fertility_threshold, THRESHOLD_OVERFLOW),
+    (benchmark_solve, BUDGET_OVERFLOW),
+    (benchmark_solve, CONSUMPTION_UNDERFLOW),
+    (sign_regimes, NAN_PARTIAL),
+    (build_report, NAN_PARTIAL),
+    # A step of 1e-6 times a_m rounds to zero.
+    (lambda p: fd_check(p, "rho", "a_m"), ModelParams(2, 1, 1, 1, 1, 5e-324)),
+])
+def test_numerical_failure(route, p):
+    with pytest.raises(NumericalFailure):
+        route(p)
+
+
+# The threshold's exit 3 is tested in test_cli.py, TestExitCodes.
+@pytest.mark.parametrize("command,model,p", [
+    ("solve", "game", FLUSHED_INCOME),
+    ("statics", "game", FLUSHED_INCOME),
+    ("solve", "benchmark", BUDGET_OVERFLOW),
+    ("solve", "benchmark", CONSUMPTION_UNDERFLOW),
+    ("statics", "game", NAN_PARTIAL),
+])
+def test_cli_exit_three(tmp_path, capsys, command, model, p):
+    scn = tmp_path / "range.scn"
+    scn.write_text(f"model = {model}\n" + "".join(
+        f"{f.name} = {getattr(p, f.name)!r}\n" for f in fields(p)))
+    assert run_command([command, str(scn)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "solver failure" in out.err

@@ -7,7 +7,6 @@ import pytest
 from fertgames import (
     BoundaryStatics,
     ModelParams,
-    StepTooLarge,
     analytic_partials_n,
     analytic_partials_rho,
     build_report,
@@ -53,10 +52,6 @@ class TestAnchorValues:
 class TestFiniteDifferenceChecks:
     def test_fd_matches_anchor_transfer_partial(self):
         assert fd_check(ANCHOR, "rho", "a_m") == pytest.approx(1 / 3, abs=1e-6)
-
-    def test_fd_rejects_coarse_step(self):
-        with pytest.raises(StepTooLarge):
-            fd_check(ANCHOR, "rho", "a_w", h=ANCHOR.a_w / 2)
 
     def test_fd_rejects_unknown_param(self):
         with pytest.raises(ValueError):
