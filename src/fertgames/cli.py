@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from . import statics as statics_mod
-from .core import ModelParams, benchmark_solve, utility_log_pair, validate_params
+from .core import PARAM_NAMES, ModelParams, benchmark_solve, utility_log_pair
 from .errors import (
     BoundaryStatics,
     HouseholdSolveFailure,
@@ -42,16 +42,16 @@ from .svg import line_chart
 
 OUTPUT_DIR_ENV = "FERTGAMES_OUTDIR"
 
-_NUMERIC_KEYS = ("alpha", "delta", "gamma", "beta", "a_w", "a_m", "subsidy")
+_NUMERIC_KEYS = PARAM_NAMES + ("subsidy",)
 _KNOWN_KEYS = ("model",) + _NUMERIC_KEYS + ("regime", "seed")
 
 # Keys that must be present per model. beta never enters the transfer game
 # (rearing costs are folded into the transfer there), so game scenarios may
 # omit it; an inert placeholder of 1 keeps the parameter record valid.
 _REQUIRED_KEYS = {
-    "benchmark": ("alpha", "delta", "gamma", "beta", "a_w", "a_m"),
+    "benchmark": PARAM_NAMES,
     "game": ("alpha", "delta", "gamma", "a_w", "a_m"),
-    "extended": ("alpha", "delta", "gamma", "beta", "a_w", "a_m", "regime"),
+    "extended": PARAM_NAMES + ("regime",),
 }
 
 _INERT_GAME_BETA = 1.0
@@ -114,18 +114,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if key not in raw:
             raise MissingKey(key)
 
-    beta = float(raw["beta"]) if "beta" in raw else _INERT_GAME_BETA
-    params = ModelParams(
-        alpha=float(raw["alpha"]),
-        delta=float(raw["delta"]),
-        gamma=float(raw["gamma"]),
-        beta=beta,
-        a_w=float(raw["a_w"]),
-        a_m=float(raw["a_m"]),
-    )
+    # Only a game scenario's beta can be missing here.
+    params = {name: float(raw.get(name, _INERT_GAME_BETA)) for name in PARAM_NAMES}
     return ScenarioConfig(
         model=model,
-        params=params,
+        params=ModelParams(**params),
         regime=raw.get("regime"),
         subsidy=float(raw.get("subsidy", "0")),
         seed=int(raw["seed"]) if "seed" in raw else None,
@@ -155,7 +148,7 @@ def _row(*cells) -> str:
 
 def _solve(cfg: ScenarioConfig) -> tuple[str, tuple]:
     """Header and cells of the one-row solve table."""
-    p = validate_params(cfg.params)
+    p = cfg.params
     check_subsidy(cfg.model, cfg.subsidy)
 
     if cfg.model == "benchmark":
@@ -178,7 +171,7 @@ def _solve(cfg: ScenarioConfig) -> tuple[str, tuple]:
 def _statics_rows(cfg: ScenarioConfig) -> list[str]:
     if cfg.model != "game":
         raise ScenarioError("statics requires a game-model scenario")
-    report = statics_mod.build_report(validate_params(cfg.params))
+    report = statics_mod.build_report(cfg.params)
     notes = {
         "delta": f"{report.delta_regime.dominant}_dominates"
         f"({report.delta_regime.predicted_sign:+d})",
@@ -195,13 +188,10 @@ def _statics_rows(cfg: ScenarioConfig) -> list[str]:
     return rows
 
 
-_SWEEPABLE = ("alpha", "delta", "gamma", "beta", "a_w", "a_m", "subsidy")
-
-
 def _sweep_rows(cfg: ScenarioConfig, param: str, lo: float, hi: float,
                 steps: int) -> tuple[list[str], list[float], list[float]]:
-    if param not in _SWEEPABLE:
-        raise ScenarioError(f"cannot sweep {param!r}; choose from {_SWEEPABLE}")
+    if param not in _NUMERIC_KEYS:
+        raise ScenarioError(f"cannot sweep {param!r}; choose from {_NUMERIC_KEYS}")
     if steps < 1:
         raise ScenarioError(f"steps must be >= 1, got {steps}")
     rows: list[str] = []
@@ -341,7 +331,7 @@ def run_command(argv: list[str]) -> int:
         elif args.command == "threshold":
             if cfg.model != "game":
                 raise ScenarioError("threshold requires a game-model scenario")
-            value = fertility_threshold(validate_params(cfg.params))
+            value = fertility_threshold(cfg.params)
             _emit(["param,threshold", _row("a_w", value)], None)
         elif args.command == "population":
             _emit(_population_rows(cfg, args), None)

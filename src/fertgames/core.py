@@ -18,7 +18,7 @@ the independent grid-search optimizer in :mod:`fertgames.oracle`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError, NonPositiveParameter, NumericalFailure, PreferenceOrderViolated
 
@@ -29,7 +29,8 @@ PARTICIPATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Exogenous household parameters.
+    """Exogenous household parameters, valid by construction: each must be
+    finite and positive, or NonPositiveParameter names the first that is not.
 
     alpha:  husband's per-child utility weight
     delta:  wife's per-child disutility weight
@@ -46,6 +47,9 @@ class ModelParams:
     a_w: float
     a_m: float
 
+    def __post_init__(self) -> None:
+        validate_params(self)
+
     @property
     def total_income(self) -> float:
         return self.a_w + self.a_m
@@ -58,6 +62,9 @@ class ModelParams:
         if not 0.0 < ratio < math.inf:
             raise NumericalFailure(f"income ratio {ratio!r} leaves the floating-point range")
         return ratio
+
+
+PARAM_NAMES = tuple(field.name for field in fields(ModelParams))
 
 
 @dataclass(frozen=True)
@@ -80,9 +87,10 @@ class BenchmarkSolution:
 def validate_params(raw: ModelParams) -> ModelParams:
     """Check that every parameter is finite and positive; return them unchanged.
 
-    Raises NonPositiveParameter naming the offending field.
+    Raises NonPositiveParameter naming the offending field. Every ModelParams
+    runs it on construction, ``dataclasses.replace`` included.
     """
-    for name in ("alpha", "delta", "gamma", "beta", "a_w", "a_m"):
+    for name in PARAM_NAMES:
         value = getattr(raw, name)
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
             raise NonPositiveParameter(name, value)
@@ -174,7 +182,6 @@ def benchmark_solve(p: ModelParams) -> BenchmarkSolution:
     as n shrinks to zero), so that case is a hard error rather than a clamp.
     An allocation or utility outside the float range raises NumericalFailure.
     """
-    validate_params(p)
     if not p.alpha > p.delta:
         raise PreferenceOrderViolated(
             f"alpha={p.alpha!r} must exceed delta={p.delta!r}"

@@ -38,7 +38,7 @@ import sys
 from dataclasses import dataclass
 from itertools import repeat
 
-from .core import ModelParams, participation, utility_linear_pair, validate_params
+from .core import ModelParams, participation, utility_linear_pair
 from .errors import NumericalFailure
 
 REGIMES = ("low", "high")
@@ -199,7 +199,7 @@ def leader_optimum(
 
     Returns the real roots of the leader cubic in ``r = rho + subsidy``, the
     transfer ``rho`` (None at the no-birth corner), fertility and both
-    consumptions. Parameters must already be validated.
+    consumptions.
     """
     g = p.gamma / p.delta
     ratio = p.income_ratio
@@ -402,7 +402,6 @@ def solve_extended(p: ModelParams, regime: str) -> ExtendedEquilibrium:
     ``'high'`` (largest) select the same one. With no admissible root the
     no-birth corner is returned with a ``no_interior_optimum`` diagnostic.
     """
-    validate_params(p)
     if regime not in REGIMES:
         raise ValueError(f"regime must be 'low' or 'high', got {regime!r}")
 

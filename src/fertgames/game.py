@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ModelParams, participation, utility_linear_pair, validate_params
+from .core import ModelParams, participation, utility_linear_pair
 from .errors import NonPositiveParameter, NonPositiveTransfer, NumericalFailure
 from .extended import leader_optimum
 
@@ -65,7 +65,6 @@ def wife_reaction(p: ModelParams, rho: float) -> ReactionDecomposition:
     solutions satisfy ``gamma*rho/(a_w + rho*n) = delta``; when the transfer
     is too small to compensate her the response clamps to zero.
     """
-    validate_params(p)
     if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 0):
         raise NonPositiveTransfer(f"transfer must be > 0, got {rho!r}")
     preference = p.gamma / p.delta
@@ -100,7 +99,6 @@ def equilibrium_transfer(p: ModelParams) -> float:
     or underflows near 1e-300. Raises NumericalFailure when the transfer
     itself exceeds the float range, or the scaling flushes the root's terms to 0.
     """
-    validate_params(p)
     a_w, a_m = p.a_w, p.a_m
     _, e = math.frexp(a_w if a_w > a_m else a_m)
     try:
@@ -129,7 +127,6 @@ def solve_game(p: ModelParams, subsidy: float = 0.0) -> GameEquilibrium:
     if not (isinstance(subsidy, (int, float)) and math.isfinite(subsidy) and subsidy >= 0):
         raise NonPositiveParameter("subsidy", subsidy, requirement=">= 0")
     if subsidy > 0:
-        validate_params(p)
         _, rho, n, c_w, c_m = leader_optimum(p, 0.0, subsidy)
         if rho is None:
             rho = 0.0
@@ -164,7 +161,6 @@ def fertility_threshold(p: ModelParams, rtol: float = 1e-8) -> float:
     ``rtol`` is ignored: the closed form is exact to rounding. Raises
     NumericalFailure when the threshold leaves the floating-point range.
     """
-    validate_params(p)
     threshold = p.alpha * p.gamma * p.a_m / p.delta
     if not 0.0 < threshold < math.inf:
         raise NumericalFailure(f"fertility threshold {threshold!r} leaves the float range")

@@ -24,7 +24,6 @@ from .core import (
     ModelParams,
     participation,
     utility_linear_pair,
-    validate_params,
 )
 from .errors import NonFiniteObjective, PreferenceOrderViolated
 from .game import GameEquilibrium
@@ -121,7 +120,6 @@ def oracle_benchmark(p: ModelParams, rtol: float = 1e-10) -> BenchmarkSolution:
     Cobb-Douglas proportions gamma : 1, which collapses the family problem
     to a scalar search over n in (0, (a_w + a_m)/beta).
     """
-    validate_params(p)
     if not p.alpha > p.delta:
         raise PreferenceOrderViolated(
             f"alpha={p.alpha!r} must exceed delta={p.delta!r}"
@@ -192,7 +190,6 @@ def oracle_game(
     only ``rho`` per child. With ``subsidy = 0`` this reproduces the
     closed-form game equilibrium up to search tolerance.
     """
-    validate_params(p)
     if not (isinstance(subsidy, (int, float)) and math.isfinite(subsidy) and subsidy >= 0):
         raise ValueError(f"subsidy must be a finite value >= 0, got {subsidy!r}")
 
@@ -242,7 +239,6 @@ def oracle_extended(p: ModelParams, rtol: float = 1e-10) -> tuple[float, float]:
     and the attained utility; the no-birth plateau resolves to its first
     grid point when it is the global best.
     """
-    validate_params(p)
     hi = extended_transfer_ceiling(p) * (1.0 - 1e-9)
     lo = hi * 1e-12
 

@@ -16,9 +16,9 @@ bit-identical to a scalar solve: the pooled budget, the unsubsidized game's
 quadratic, and the leader cubic of the extended model and the subsidized
 game, whose few transcendental functions are libm's, applied element by
 element. Each check of the scalar route (positive parameters, preference
-order, transfer, cubic range, consumption domain) is an array mask; a
-household that fails one is handed to the scalar route, which raises the
-same error. A positive subsidy is solvable under the transfer game, where
+order, transfer, cubic range, consumption domain, utility range) is an array
+mask; a household that fails one is handed to the scalar route, which raises
+the same error. A positive subsidy is solvable under the transfer game, where
 it turns the husband's first-order condition into the leader cubic of
 :mod:`fertgames.extended`. The subsidy is funded from general revenue: it
 raises the wife's effective per-child receipt without touching either
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .core import ModelParams, benchmark_solve, pooled_allocation, validate_params
+from .core import PARAM_NAMES, ModelParams, benchmark_solve, pooled_allocation
 from .errors import HouseholdSolveFailure, InvalidDistribution, ModelError
 from .extended import REGIMES, leader_optima, solve_extended
 from .game import solve_game, transfer_root
@@ -210,7 +210,7 @@ def _rows(columns: tuple) -> list[ModelParams]:
 def _draw(spec: PopulationSpec, index: np.ndarray) -> tuple:
     """Draw the households ``index``; each depends only on (seed, index).
 
-    Raises NonPositiveParameter, as ``validate_params`` does, for the first
+    Raises NonPositiveParameter, as ModelParams does, for the first
     household whose draw is not finite and positive (an income whose
     log-normal draw overflows or underflows).
     """
@@ -238,13 +238,13 @@ def _draw(spec: PopulationSpec, index: np.ndarray) -> tuple:
     with np.errstate(over="ignore", under="ignore"):
         for name, dist, column in (("a_w", spec.aw_dist, 0), ("a_m", spec.am_dist, 1)):
             values[name] = np.exp(float(dist.mu) + float(dist.sigma) * raw[:, column])
-    columns = tuple(values[name] for name in PREFERENCES + ("a_w", "a_m"))
+    columns = tuple(values[name] for name in PARAM_NAMES)
 
     valid = np.ones(len(index), dtype=bool)
     for column in columns:
         valid &= np.isfinite(column) & (column > 0)
     if not valid.all():
-        validate_params(_params(columns, int(np.argmin(valid))))
+        _params(columns, int(np.argmin(valid)))  # raises
     return columns
 
 
@@ -298,16 +298,21 @@ def _solve_arrays(spec: PopulationSpec, alpha, delta, gamma, beta, a_w, a_m):
     with np.errstate(all="ignore"):
         if spec.model == "benchmark":
             c_w, c_m, n = pooled_allocation(alpha, delta, gamma, beta, a_w, a_m)
-            return n, None, ((alpha > delta) & (c_w > 0) & (c_m > 0) & (n > 0)
-                             & np.isfinite([c_w, c_m, n]).all(axis=0))
+            # Finite utilities need c_w, c_m and n finite and positive.
+            log_c_w, log_c_m, log_n = np.log(c_w), np.log(c_m), np.log(n)
+            u_w = gamma * log_c_w - delta * log_n
+            utilities = (u_w, log_c_m + alpha * log_n, u_w - gamma * np.log(a_w),
+                         gamma * log_c_w + log_c_m + (alpha - delta) * log_n)
+            return n, None, (alpha > delta) & np.isfinite(utilities).all(axis=0)
         if spec.model == "game" and spec.subsidy == 0:
             e = np.frexp(np.maximum(a_w, a_m))[1]
             rho = np.ldexp(transfer_root(alpha, delta, gamma, np.ldexp(a_w, -e),
                                          np.ldexp(a_m, -e), np.sqrt), e)
             response = gamma / delta + -a_w / rho
             n = np.where(response > 0.0, response, 0.0)  # max(0.0, response)
-            ok = (np.isfinite(rho) & (rho > 0)
-                  & (a_w + rho * n > 0) & (a_m - rho * n > 0))
+            c_w = a_w + rho * n
+            ok = (np.isfinite(rho) & (rho > 0) & (c_w > 0) & (a_m - rho * n > 0)
+                  & np.isfinite(alpha * n) & np.isfinite(gamma * np.log(c_w) - delta * n))
             return n, rho, ok
     if spec.model == "extended":
         n, rho, _, _, ok = leader_optima(alpha, delta, gamma, a_w, a_m, beta, 0.0)
@@ -343,13 +348,11 @@ def _solve(spec: PopulationSpec, columns: tuple):
     return n, rho
 
 
-def _left_sum(values: list[float]) -> float:
+def _left_sum(values: np.ndarray) -> float:
     """Left-to-right sum, one rounding per addition, which defines every
-    mean; the builtin ``sum`` compensates from Python 3.12 on."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+    mean. ``cumsum`` adds in that order; numpy's ``sum`` adds pairwise, and
+    the builtin ``sum`` compensates from Python 3.12 on."""
+    return float(values.cumsum()[-1])
 
 
 def aggregate(spec: PopulationSpec) -> AggregateReport:
@@ -364,11 +367,11 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
     count = spec.count
     columns = _draw(spec, np.arange(count))
     n, rho = _solve(spec, columns)
-    transfers = [] if rho is None else rho[n > 0].tolist()
+    transfers = n[:0] if rho is None else rho[n > 0]
 
     a_w, a_m = columns[4:]
     ratios = a_w / a_m
-    ranked = n[np.argsort(ratios, kind="stable")].tolist()
+    ranked = n[np.argsort(ratios, kind="stable")]
     # Bucket b holds the ranks with rank*10//count == b.
     bounds = [-(-b * count // 10) for b in range(11)]
     decile_counts = tuple(bounds[b + 1] - bounds[b] for b in range(10))
@@ -384,10 +387,10 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
             "subsidy funded from general revenue; no spousal budget deduction"
         )
     return AggregateReport(
-        mean_fertility=_left_sum(n.tolist()) / count,
+        mean_fertility=_left_sum(n) / count,
         childless_share=int(np.count_nonzero(n <= 0.0)) / count,
-        mean_transfer=(_left_sum(transfers) / len(transfers)) if transfers else None,
-        mean_income_ratio=_left_sum(ratios.tolist()) / count,
+        mean_transfer=(_left_sum(transfers) / len(transfers)) if len(transfers) else None,
+        mean_income_ratio=_left_sum(ratios) / count,
         fertility_by_ratio_decile=decile_means,
         decile_counts=decile_counts,
         notes=tuple(notes),

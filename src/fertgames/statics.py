@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import wraps
 
-from .core import ModelParams, check_finite, validate_params
+from .core import ModelParams, check_finite
 from .errors import BoundaryStatics, NumericalFailure
 from .game import GameEquilibrium, equilibrium_transfer, solve_game
 
@@ -109,7 +109,6 @@ def analytic_partials_rho(p: ModelParams) -> dict[str, float]:
         d rho*/d gamma = -alpha*delta*S / (2*gamma^2*sqrt(X))
         d rho*/d alpha = -a_w/2 + (alpha*a_w^2/2 + delta*S/gamma) / (2*sqrt(X))
     """
-    validate_params(p)
     sx = math.sqrt(transfer_radicand(p))
     s = p.a_w * (p.a_w + p.a_m)
     ad_over_g = p.alpha * p.delta / p.gamma
@@ -169,7 +168,7 @@ def ratio_partial(p: ModelParams) -> float:
 @_finite
 def ratio_fd(p: ModelParams) -> float:
     """Central finite difference of n* in the income ratio, husband fixed."""
-    ratio = validate_params(p).income_ratio
+    ratio = p.income_ratio
     h = _FD_RELATIVE_STEP * ratio
     hi = _interior(replace(p, a_w=(ratio + h) * p.a_m)).n_star
     lo = _interior(replace(p, a_w=(ratio - h) * p.a_m)).n_star
@@ -192,7 +191,6 @@ def fd_check(p: ModelParams, target: str, param: str) -> float:
     must not cross the zero-fertility kink; BoundaryStatics is raised when
     it does.
     """
-    validate_params(p)
     if param not in PARTIAL_KEYS:
         raise ValueError(f"param must be one of {PARTIAL_KEYS}, got {param!r}")
     x = getattr(p, param)

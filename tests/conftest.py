@@ -24,6 +24,13 @@ LEAD_OVERFLOW = ModelParams(
     a_w=6.2685143770522004e-68, a_m=6.3774030963961445e+41)
 LEAD_OVERFLOW_SUBSIDY = 0.5
 
+# An interior game whose husband utility alpha*n* overflows, so solve_game
+# refuses it with NumericalFailure.
+UTILITY_OVERFLOW = ModelParams(
+    alpha=5.723257701920331e+128, delta=9.272880044234558e-86,
+    gamma=5.5085967287221205e+122, beta=1.0,
+    a_w=8.844165463737839e+67, a_m=6.576883131470211e+55)
+
 
 def loguniform(rng: np.random.Generator, lo: float = 0.1, hi: float = 10.0) -> float:
     return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))

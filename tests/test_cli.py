@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY
+from conftest import LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY, UTILITY_OVERFLOW
 from fertgames import MissingKey, ParseError, UnknownKey
 from fertgames.cli import parse_scenario, run_command
 
@@ -93,6 +93,29 @@ class TestExitCodes:
                        "a_w = 1\na_m = 3\n")
         assert run_command(["solve", str(bad)]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("incomes", [[], ["--aw-mu", "0", "--am-mu", "1"]],
+                             ids=["scenario", "overridden"])
+    def test_population_with_negative_income_is_two(self, tmp_path, capsys, incomes):
+        bad = tmp_path / "bad.scn"
+        bad.write_text("model = game\nalpha = 2\ndelta = 1\ngamma = 1\n"
+                       "a_w = -1\na_m = 3\n")
+        assert run_command(["population", str(bad), "--households", "3", *incomes]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "parameter 'a_w' must be > 0" in out.err
+
+    def test_population_with_overflowing_utility_is_three(self, tmp_path, capsys):
+        p = UTILITY_OVERFLOW
+        scn = tmp_path / "overflow.scn"
+        scn.write_text(
+            f"model = game\nalpha = {p.alpha!r}\ndelta = {p.delta!r}\n"
+            f"gamma = {p.gamma!r}\na_w = {p.a_w!r}\na_m = {p.a_m!r}\n")
+        assert run_command(["population", str(scn), "--households", "3",
+                            "--aw-sigma", "0", "--am-sigma", "0"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "solver failure" in out.err
 
     def test_missing_file_is_two(self, capsys):
         assert run_command(["solve", "no_such_file.scn"]) == 2

@@ -1,6 +1,8 @@
 """Parameter validation, utilities, and the pooled-budget closed form."""
 
 import math
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,10 @@ from fertgames import (
     NonPositiveParameter,
     PreferenceOrderViolated,
     benchmark_solve,
+    fertility_threshold,
     oracle_benchmark,
+    solve_extended,
+    solve_game,
     utility_linear_pair,
     utility_log_pair,
     validate_params,
@@ -37,9 +42,8 @@ class TestValidateParams:
         assert validate_params(p) is p
 
     def test_zero_beta_rejected(self):
-        p = ModelParams(alpha=1, delta=1, gamma=1, beta=0, a_w=1, a_m=1)
         with pytest.raises(NonPositiveParameter) as exc:
-            validate_params(p)
+            ModelParams(alpha=1, delta=1, gamma=1, beta=0, a_w=1, a_m=1)
         assert exc.value.field == "beta"
 
     @pytest.mark.parametrize("field", ["alpha", "delta", "gamma", "a_w", "a_m"])
@@ -51,9 +55,34 @@ class TestValidateParams:
         assert exc.value.field == field
 
     def test_nan_rejected(self):
-        p = ModelParams(alpha=math.nan, delta=1, gamma=1, beta=1, a_w=1, a_m=1)
         with pytest.raises(NonPositiveParameter):
-            validate_params(p)
+            ModelParams(alpha=math.nan, delta=1, gamma=1, beta=1, a_w=1, a_m=1)
+
+    def test_replace_checks_again(self):
+        p = ModelParams(alpha=1, delta=1, gamma=1, beta=1, a_w=1, a_m=1)
+        with pytest.raises(NonPositiveParameter) as exc:
+            replace(p, a_w=-1.0)
+        assert exc.value.field == "a_w"
+
+    def test_solvers_do_not_check_a_built_record_again(self, monkeypatch):
+        calls = []
+
+        def counted(raw):
+            calls.append(raw)
+            return validate_params(raw)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "fertgames"
+                    and getattr(module, "validate_params", None) is validate_params):
+                monkeypatch.setattr(module, "validate_params", counted)
+        p = ModelParams(alpha=2, delta=1, gamma=1, beta=1, a_w=1, a_m=3)
+        assert len(calls) == 1  # the construction
+        solve_game(p)
+        solve_game(p, 0.5)
+        solve_extended(p, "high")
+        benchmark_solve(p)
+        fertility_threshold(p)
+        assert len(calls) == 1
 
 
 class TestUtilities:

@@ -19,19 +19,19 @@ from fertgames import (
     sample_households,
     solve_game,
 )
-from conftest import LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY
+from conftest import LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY, UTILITY_OVERFLOW
 from fertgames.extended import leader_optima, leader_optimum
-from fertgames.population import _solve_household, sample_household
+from fertgames.population import _solve_arrays, _solve_household, sample_household
 
 POINT = LogNormalSpec(mu=0.0, sigma=0.0)
 PREFS = ("alpha", "delta", "gamma", "beta")
 SEED_LEADER = 20251018
 
 
-def reference_household(spec: PopulationSpec, index: int) -> ModelParams:
-    """Household ``index`` drawn the way the sampler is specified: from its
-    own ``default_rng([seed, index])``, two normals, then one uniform per
-    ranged preference."""
+def reference_draw(spec: PopulationSpec, index: int) -> dict[str, float]:
+    """Raw parameters of household ``index``, drawn the way the sampler is
+    specified: from its own ``default_rng([seed, index])``, two normals, then
+    one uniform per ranged preference."""
     rng = np.random.default_rng([spec.seed, index])
     a_w = float(np.exp(spec.aw_dist.mu + spec.aw_dist.sigma * rng.standard_normal()))
     a_m = float(np.exp(spec.am_dist.mu + spec.am_dist.sigma * rng.standard_normal()))
@@ -40,7 +40,11 @@ def reference_household(spec: PopulationSpec, index: int) -> ModelParams:
         dist = getattr(spec, name)
         prefs[name] = (float(rng.uniform(*dist)) if isinstance(dist, tuple)
                        else float(dist))
-    return ModelParams(a_w=a_w, a_m=a_m, **prefs)
+    return dict(a_w=a_w, a_m=a_m, **prefs)
+
+
+def reference_household(spec: PopulationSpec, index: int) -> ModelParams:
+    return ModelParams(**reference_draw(spec, index))
 
 
 def left_sum(values) -> float:
@@ -182,7 +186,7 @@ class TestBatchedSampling:
         spec = PopulationSpec(count=50, seed=0, aw_dist=LogNormalSpec(0.0, 500.0),
                               am_dist=POINT, **FIXED_PREFS)
         with np.errstate(over="ignore", under="ignore"):
-            draws = [reference_household(spec, i).a_w for i in range(spec.count)]
+            draws = [reference_draw(spec, i)["a_w"] for i in range(spec.count)]
         invalid = [i for i, a_w in enumerate(draws) if not 0 < a_w < math.inf]
         first = draws[invalid[0]]
         assert invalid[0] > 0 and math.inf in draws[invalid[0]:]
@@ -336,6 +340,21 @@ class TestAggregate:
                 aggregate(spec)
             assert exc.value.index == 0
             assert isinstance(exc.value.__cause__, NumericalFailure)
+
+    @pytest.mark.parametrize("model,p", [
+        ("game", UTILITY_OVERFLOW),
+        # gamma*ln(c_w) overflows in the pooled budget.
+        ("benchmark", ModelParams(2, 1, 1e307, 1e-10, 5e-17, 5e-17)),
+    ])
+    def test_utility_beyond_float_range_fails(self, model, p):
+        spec = point_spec(p.a_w, p.a_m, count=3, model=model, alpha=p.alpha,
+                          delta=p.delta, gamma=p.gamma, beta=p.beta)
+        with pytest.raises(NumericalFailure):
+            _solve_household(spec, sample_household(spec, 0))
+        with pytest.raises(HouseholdSolveFailure) as exc:
+            aggregate(spec)
+        assert exc.value.index == 0
+        assert isinstance(exc.value.__cause__, NumericalFailure)
 
     def test_household_failure_carries_index(self):
         # alpha < delta breaks the pooled-budget precondition.
@@ -494,3 +513,18 @@ class TestBatchedLeader:
             assert isinstance(exc.value.__cause__, NumericalFailure)
         else:
             assert aggregate(spec).mean_fertility == want.n_star
+
+
+@pytest.mark.parametrize("model,subsidy", [
+    ("benchmark", 0.0), ("game", 0.0), ("extended", 0.0), ("game", 0.5)])
+def test_array_route_answers_only_what_scalar_route_answers(model, subsidy):
+    spec = point_spec(1.0, 1.0, model=model, subsidy=subsidy)
+    columns = log_uniform_households([SEED_LEADER, 3], E150, 3000)
+    ok = _solve_arrays(spec, *columns)[-1]
+    refused = []
+    for i in np.flatnonzero(ok).tolist():
+        try:
+            _solve_household(spec, ModelParams(*(float(c[i]) for c in columns)))
+        except ModelError:
+            refused.append(i)
+    assert ok.any() and refused == []
