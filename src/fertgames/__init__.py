@@ -49,16 +49,7 @@ from .population import (
     aggregate,
     sample_households,
 )
-from .statics import (
-    RegimeClassification,
-    StaticsReport,
-    analytic_partials_n,
-    analytic_partials_rho,
-    build_report,
-    fd_check,
-    ratio_partial,
-    sign_regimes,
-)
+from .statics import RegimeClassification, StaticsReport, build_report, fd_check
 
 __version__ = "0.1.0"
 
@@ -88,8 +79,6 @@ __all__ = [
     "StaticsReport",
     "UnknownKey",
     "aggregate",
-    "analytic_partials_n",
-    "analytic_partials_rho",
     "benchmark_solve",
     "build_report",
     "equilibrium_transfer",
@@ -99,10 +88,8 @@ __all__ = [
     "oracle_benchmark",
     "oracle_extended",
     "oracle_game",
-    "ratio_partial",
     "real_roots",
     "sample_households",
-    "sign_regimes",
     "solve_extended",
     "solve_game",
     "utility_linear_pair",

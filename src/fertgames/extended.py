@@ -26,9 +26,9 @@ from ``R = a_w/a_m``, ``k/a_m`` and ``s/a_m``; no intermediate value
 overflows, and the transfer and consumptions are scaled back at the end.
 
 Cultural regimes pick the smallest ("low") or largest ("high") admissible
-root of the extended game. With its single positive root both coincide, and
-a ``regime_degenerate`` diagnostic is attached. Empirical root counts are
-reported so the one-root structure is visible in output rather than assumed.
+root of the extended game. With its single positive root both coincide.
+Empirical root counts are reported so the one-root structure is visible in
+output rather than assumed.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ from .errors import NumericalFailure
 
 REGIMES = ("low", "high")
 
-# Diagnostics attached to ExtendedEquilibrium.
-REGIME_DEGENERATE = "regime_degenerate"
-NO_INTERIOR_OPTIMUM = "no_interior_optimum"
-SINGLE_POSITIVE_ROOT = "single_positive_root"
-
 # The quadratic left after dividing out one root has a discriminant with a
 # rounding error of a few ulps of its terms; within this band it counts as
 # zero, a double root.
@@ -60,13 +55,12 @@ class ExtendedEquilibrium:
     """Root classification and induced allocation of the extended game.
 
     ``real_roots`` and ``positive_roots`` describe the cubic in the
-    transfer. ``admissible_roots`` holds the selected root when it beats the
-    no-birth corner, and is empty otherwise.
+    transfer. ``selected_rho`` is the root that beats the no-birth corner,
+    None when none does.
     """
 
     real_roots: tuple[float, ...]
     positive_roots: tuple[float, ...]
-    admissible_roots: tuple[float, ...]
     selected_rho: float | None
     regime: str
     n_star: float
@@ -77,7 +71,6 @@ class ExtendedEquilibrium:
     wife_participates: bool
     husband_participates: bool
     interior: bool
-    diagnostics: tuple[str, ...]
 
 
 def _leader_cubic(g, alpha, a_w, a_m, k):
@@ -400,25 +393,18 @@ def solve_extended(p: ModelParams, regime: str) -> ExtendedEquilibrium:
     utility, where the cubic crosses upward (``f'(rho) > 0``). The positive
     root is unique, so ``regime='low'`` (smallest admissible root) and
     ``'high'`` (largest) select the same one. With no admissible root the
-    no-birth corner is returned with a ``no_interior_optimum`` diagnostic.
+    no-birth corner is returned.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be 'low' or 'high', got {regime!r}")
 
     roots, rho, n, c_w, c_m = leader_optimum(p, p.beta, 0.0)
-    pos = tuple(r for r in roots if r > 0.0)
-    admissible = () if rho is None else (rho,)
-    diagnostics: list[str] = []
-    if len(pos) == 1:
-        diagnostics.append(SINGLE_POSITIVE_ROOT)
-    diagnostics.append(REGIME_DEGENERATE if admissible else NO_INTERIOR_OPTIMUM)
 
     u_w, u_m = utility_linear_pair(p, c_w, c_m, n)
     wife, husband = participation(p, u_w, u_m)
     return ExtendedEquilibrium(
         real_roots=roots,
-        positive_roots=pos,
-        admissible_roots=admissible,
+        positive_roots=tuple(r for r in roots if r > 0.0),
         selected_rho=rho,
         regime=regime,
         n_star=n,
@@ -429,5 +415,4 @@ def solve_extended(p: ModelParams, regime: str) -> ExtendedEquilibrium:
         wife_participates=wife,
         husband_participates=husband,
         interior=n > 0,
-        diagnostics=tuple(diagnostics),
     )

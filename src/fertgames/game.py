@@ -20,6 +20,7 @@ condition into the leader cubic shared with the extended game.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import ModelParams, participation, utility_linear_pair
@@ -77,17 +78,41 @@ def wife_reaction(p: ModelParams, rho: float) -> ReactionDecomposition:
 
 
 def transfer_root(alpha, delta, gamma, a_w, a_m, sqrt):
-    """Positive root of the husband's first-order quadratic, unscaled.
+    """Positive root of the husband's first-order quadratic, unscaled, and
+    whether it keeps its digits.
 
     Evaluated in the cancellation-free form ``q / (alpha*a_w/2 + sqrt(X))``
     with ``q = (alpha*delta/gamma)*a_w*(a_w + a_m)`` and
     ``X = (alpha*a_w/2)**2 + q``, which is exact even when the two terms of
     the textbook expression ``-alpha*a_w/2 + sqrt(X)`` nearly cancel. Runs
     on floats with ``math.sqrt`` and on numpy arrays with ``numpy.sqrt``.
+
+    The flag (a bool or boolean array) holds where ``a_w``, ``alpha*delta``,
+    ``q`` and the root are normal floats, so the root keeps its digits; a
+    subnormal ``alpha*a_w/2`` or its square is then negligible.
     """
+    ad = alpha * delta
     half = 0.5 * alpha * a_w
-    q = (alpha * delta / gamma) * a_w * (a_w + a_m)
-    return q / (half + sqrt(half * half + q))
+    q = ad / gamma * a_w * (a_w + a_m)
+    root = q / (half + sqrt(half * half + q))
+    tiny = sys.float_info.min
+    return root, (a_w >= tiny) & (ad >= tiny) & (q >= 2.0 * tiny) & (root >= tiny)
+
+
+def income_units(p: ModelParams) -> tuple[int, float, float]:
+    """``(e, a_w*2**-e, a_m*2**-e)``: the power of two ``2**e`` that brings the
+    larger income into [0.5, 1), and both incomes in that unit (exact unless
+    the smaller one falls below the normal range)."""
+    _, e = math.frexp(p.a_w if p.a_w > p.a_m else p.a_m)
+    return e, math.ldexp(p.a_w, -e), math.ldexp(p.a_m, -e)
+
+
+def husband_consumption(g, alpha, a_w, rho):
+    """The husband's interior consumption by his first-order identity
+    ``c_m = (gamma/delta)*rho**2/(alpha*a_w)``, on floats or arrays, for where
+    ``a_m - rho*n`` cancels. As ``g*rho/a_w > 1`` at an interior point, no
+    intermediate of this order underflows before ``c_m`` does."""
+    return g * (rho / a_w) * rho / alpha
 
 
 def equilibrium_transfer(p: ModelParams) -> float:
@@ -96,18 +121,20 @@ def equilibrium_transfer(p: ModelParams) -> float:
     The root is homogeneous of degree one in incomes, so both are scaled by
     the power of two ``2**-e`` that brings the larger below 1, and the root
     is scaled back: exact in binary, and ``q`` no longer overflows near 1e300
-    or underflows near 1e-300. Raises NumericalFailure when the transfer
-    itself exceeds the float range, or the scaling flushes the root's terms to 0.
+    or underflows near 1e-300. Raises NumericalFailure where the transfer,
+    or a term it is computed from, is not a normal float, so that its
+    digits would be lost.
     """
-    a_w, a_m = p.a_w, p.a_m
-    _, e = math.frexp(a_w if a_w > a_m else a_m)
+    e, a_w, a_m = income_units(p)
     try:
-        return math.ldexp(transfer_root(p.alpha, p.delta, p.gamma, math.ldexp(a_w, -e),
-                                        math.ldexp(a_m, -e), math.sqrt), e)
+        root, accurate = transfer_root(p.alpha, p.delta, p.gamma, a_w, a_m, math.sqrt)
+        rho = math.ldexp(root, e)
     except (ZeroDivisionError, OverflowError):
+        accurate = False
+    if not (accurate and rho >= sys.float_info.min):
         raise NumericalFailure(
-            f"the transfer at incomes {a_w!r} and {a_m!r} leaves the floating-point range"
-        ) from None
+            f"the transfer at incomes {p.a_w!r} and {p.a_m!r} leaves the normal float range")
+    return rho
 
 
 def solve_game(p: ModelParams, subsidy: float = 0.0) -> GameEquilibrium:
@@ -133,8 +160,14 @@ def solve_game(p: ModelParams, subsidy: float = 0.0) -> GameEquilibrium:
     else:
         rho = equilibrium_transfer(p)
         n = wife_reaction(p, rho).n
-        c_w = p.a_w + rho * n
-        c_m = p.a_m - rho * n
+        spent = rho * n
+        c_w = p.a_w + spent
+        c_m = p.a_m - spent
+        if not spent < 0.5 * p.a_m:
+            c_m = husband_consumption(p.gamma / p.delta, p.alpha, p.a_w, rho)
+            if not c_m >= sys.float_info.min:
+                raise NumericalFailure(
+                    f"the husband's consumption {c_m!r} leaves the normal float range")
     u_w, u_m = utility_linear_pair(p, c_w, c_m, n)
     wife, husband = participation(p, u_w, u_m)
     return GameEquilibrium(

@@ -32,6 +32,7 @@ how much of the population sits past the fertility threshold.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING
 from .core import PARAM_NAMES, ModelParams, benchmark_solve, pooled_allocation
 from .errors import HouseholdSolveFailure, InvalidDistribution, ModelError
 from .extended import REGIMES, leader_optima, solve_extended
-from .game import solve_game, transfer_root
+from .game import husband_consumption, solve_game, transfer_root
 
 if TYPE_CHECKING:
     import numpy as np
@@ -306,12 +307,18 @@ def _solve_arrays(spec: PopulationSpec, alpha, delta, gamma, beta, a_w, a_m):
             return n, None, (alpha > delta) & np.isfinite(utilities).all(axis=0)
         if spec.model == "game" and spec.subsidy == 0:
             e = np.frexp(np.maximum(a_w, a_m))[1]
-            rho = np.ldexp(transfer_root(alpha, delta, gamma, np.ldexp(a_w, -e),
-                                         np.ldexp(a_m, -e), np.sqrt), e)
+            root, accurate = transfer_root(alpha, delta, gamma, np.ldexp(a_w, -e),
+                                           np.ldexp(a_m, -e), np.sqrt)
+            rho = np.ldexp(root, e)
             response = gamma / delta + -a_w / rho
             n = np.where(response > 0.0, response, 0.0)  # max(0.0, response)
-            c_w = a_w + rho * n
-            ok = (np.isfinite(rho) & (rho > 0) & (c_w > 0) & (a_m - rho * n > 0)
+            spent = rho * n
+            c_w = a_w + spent
+            c_m = np.where(spent < 0.5 * a_m, a_m - spent,
+                           husband_consumption(gamma / delta, alpha, a_w, rho))
+            tiny = sys.float_info.min
+            ok = (accurate & (rho >= tiny) & np.isfinite(rho) & (c_w > 0)
+                  & (c_m >= tiny) & np.isfinite(c_m)
                   & np.isfinite(alpha * n) & np.isfinite(gamma * np.log(c_w) - delta * n))
             return n, rho, ok
     if spec.model == "extended":

@@ -1,32 +1,37 @@
 """Comparative statics of the equilibrium transfer and fertility.
 
-Writing the transfer as ``rho* = -alpha*a_w/2 + sqrt(X)`` with radicand
+Every partial is an implicit derivative of the husband's first-order
+quadratic ``F = rho**2 + alpha*a_w*rho - (alpha*delta/gamma)*a_w*A``, with
+``A = a_w + a_m``, at the root ``rho*`` that :func:`~fertgames.game.solve_game`
+returns: ``d rho*/d theta = -F_theta/F_rho``, ``F_rho = 2*rho* + alpha*a_w``.
+At the root the constant term equals ``rho*(rho* + alpha*a_w)``, so with the
+shares ``s = rho*/F_rho`` and ``t = (rho* + alpha*a_w)/F_rho``, both in (0, 1),
+each partial of ``rho*`` and of ``n* = gamma/delta - a_w/rho*`` is a ratio of
+positive terms and no subtraction cancels. In particular
+``d n*/d delta = -(n* + a_w/F_rho)/delta < 0 < d n*/d gamma``: of the two
+channels through which the wife's aversion and consumption taste move
+fertility, the direct preference term always outweighs the induced transfer
+term. Each closed form is also certified against a central finite difference.
 
-    X = (alpha*a_w/2)**2 + (alpha*delta/gamma) * a_w * (a_w + a_m),
-
-every partial of ``rho*`` follows by differentiating X, and the fertility
-partials follow from ``n* = gamma/delta - a_w/rho*`` by the chain rule. Each
-closed form is certified against a central finite difference rather than
-trusted. Fertility responds to the wife's aversion and consumption taste
-through two competing channels, a direct preference term and an induced
-transfer term, and the sign classification reports which channel dominates.
-
-All derivatives here are of the unclamped equilibrium; at the zero-fertility
-corner the clamp makes n* non-differentiable, so statics on n raise
-``BoundaryStatics`` there (one-sided differences cross the kink silently
-otherwise, which is worse than refusing). A value beyond the float range, or
-a divisor that underflows to zero, raises ``NumericalFailure``.
+Cells of degree zero in incomes are evaluated in the power-of-two income
+units of :func:`~fertgames.game.equilibrium_transfer`, the transfer's
+partials in preferences from the absolute transfer. Every cell is strictly
+signed at an interior point, so one that is not finite, is zero or is
+subnormal raises ``NumericalFailure``. At the zero-fertility corner the clamp
+makes n* non-differentiable, so statics on n raise ``BoundaryStatics`` there
+(one-sided differences cross the kink silently otherwise).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import wraps
 
 from .core import ModelParams, check_finite
 from .errors import BoundaryStatics, NumericalFailure
-from .game import GameEquilibrium, equilibrium_transfer, solve_game
+from .game import GameEquilibrium, equilibrium_transfer, income_units, solve_game
 
 PARTIAL_KEYS = ("alpha", "delta", "gamma", "a_w", "a_m")
 
@@ -39,7 +44,7 @@ class RegimeClassification:
 
     ``transfer_term`` and ``preference_term`` are the two competing
     magnitudes; ``dominant`` names the larger one and ``predicted_sign``
-    is the implied sign of the fertility partial (+1, -1 or 0).
+    is the implied sign of the fertility partial (+1 or -1).
     """
 
     parameter: str
@@ -68,7 +73,7 @@ class StaticsReport:
 
 def _finite(fn):
     """``fn``, refusing with NumericalFailure where it divides by a value that
-    underflows to zero or returns a value, or dict of values, not finite."""
+    underflows to zero or returns a value that is not finite."""
 
     @wraps(fn)
     def checked(*args):
@@ -76,7 +81,7 @@ def _finite(fn):
             out = fn(*args)
         except ZeroDivisionError:
             raise NumericalFailure(f"{fn.__name__}: a divisor underflows to zero") from None
-        check_finite(fn.__name__, *(out.values() if isinstance(out, dict) else (out,)))
+        check_finite(fn.__name__, out)
         return out
 
     return checked
@@ -88,81 +93,6 @@ def _interior(p: ModelParams) -> GameEquilibrium:
     if not eq.interior:
         raise BoundaryStatics("fertility is clamped at zero at this point")
     return eq
-
-
-@_finite
-def transfer_radicand(p: ModelParams) -> float:
-    half = 0.5 * p.alpha * p.a_w
-    return half * half + (p.alpha * p.delta / p.gamma) * p.a_w * (p.a_w + p.a_m)
-
-
-@_finite
-def analytic_partials_rho(p: ModelParams) -> dict[str, float]:
-    """Closed-form partials of the equilibrium transfer.
-
-    Derived by differentiating the radicand: with S = a_w*(a_w + a_m),
-
-        d rho*/d a_m   = alpha*delta*a_w / (2*gamma*sqrt(X))
-        d rho*/d a_w   = -alpha/2 + [2*a_w*(alpha^2/4 + alpha*delta/gamma)
-                                     + (alpha*delta/gamma)*a_m] / (2*sqrt(X))
-        d rho*/d delta = alpha*S / (2*gamma*sqrt(X))
-        d rho*/d gamma = -alpha*delta*S / (2*gamma^2*sqrt(X))
-        d rho*/d alpha = -a_w/2 + (alpha*a_w^2/2 + delta*S/gamma) / (2*sqrt(X))
-    """
-    sx = math.sqrt(transfer_radicand(p))
-    s = p.a_w * (p.a_w + p.a_m)
-    ad_over_g = p.alpha * p.delta / p.gamma
-    return {
-        "alpha": -0.5 * p.a_w
-        + (0.5 * p.alpha * p.a_w * p.a_w + p.delta * s / p.gamma) / (2.0 * sx),
-        "delta": p.alpha * s / (2.0 * p.gamma * sx),
-        "gamma": -p.alpha * p.delta * s / (2.0 * p.gamma * p.gamma * sx),
-        "a_w": -0.5 * p.alpha
-        + (2.0 * p.a_w * (0.25 * p.alpha * p.alpha + ad_over_g) + ad_over_g * p.a_m)
-        / (2.0 * sx),
-        "a_m": ad_over_g * p.a_w / (2.0 * sx),
-    }
-
-
-@_finite
-def _partials_n(p: ModelParams, rho: float, d_rho: dict[str, float]) -> dict[str, float]:
-    lever = p.a_w / (rho * rho)
-    return {
-        "alpha": lever * d_rho["alpha"],
-        "delta": -p.gamma / (p.delta * p.delta) + lever * d_rho["delta"],
-        "gamma": 1.0 / p.delta + lever * d_rho["gamma"],
-        "a_w": -1.0 / rho + lever * d_rho["a_w"],
-        "a_m": lever * d_rho["a_m"],
-    }
-
-
-def analytic_partials_n(p: ModelParams) -> dict[str, float]:
-    """Chain-rule partials of equilibrium fertility, interior points only.
-
-    From ``n* = gamma/delta - a_w/rho*``, every parameter acts through
-    ``(a_w/rho*^2) * d rho*/d theta``, plus the direct terms ``-gamma/delta^2``
-    (for delta), ``1/delta`` (for gamma) and ``-1/rho*`` (for a_w).
-    """
-    return _partials_n(p, _interior(p).rho_star, analytic_partials_rho(p))
-
-
-@_finite
-def _ratio_partial(p: ModelParams, rho: float, d_aw: float) -> float:
-    return -(p.a_m / (rho * rho)) * (rho - p.a_w * d_aw)
-
-
-def ratio_partial(p: ModelParams) -> float:
-    """Fertility response to the wife-to-husband income ratio, husband fixed.
-
-    With R = a_w/a_m and a_w = R*a_m,
-
-        d n*/d R = -(a_m/rho*^2) * [rho* - R * d rho*/d R],
-
-    where d rho*/d R = a_m * (d rho*/d a_w). The bracket equals
-    ``a_m * d rho*/d a_m`` by Euler's identity (rho* is homogeneous of
-    degree one in incomes), so the response is negative everywhere interior.
-    """
-    return _ratio_partial(p, _interior(p).rho_star, analytic_partials_rho(p)["a_w"])
 
 
 @_finite
@@ -200,61 +130,67 @@ def fd_check(p: ModelParams, target: str, param: str) -> float:
     return (hi - lo) / (2.0 * h)
 
 
-def _regimes(
-    p: ModelParams, rho: float, d_rho: dict[str, float], d_n: dict[str, float]
-) -> tuple[RegimeClassification, RegimeClassification]:
-    lever = p.a_w / (rho * rho)
-    # (param, transfer term, preference term, dominant channel when the
-    # fertility partial is negative, zero, positive)
-    regimes = (
-        ("delta", lever * d_rho["delta"], p.gamma / (p.delta * p.delta),
-         ("preference", "balanced", "transfer")),
-        ("gamma", -lever * d_rho["gamma"], 1.0 / p.delta,
-         ("transfer", "balanced", "preference")),
-    )
-    out = []
-    for param, transfer_term, preference_term, dominant in regimes:
-        sign = (d_n[param] > 0) - (d_n[param] < 0)
-        out.append(RegimeClassification(param, transfer_term, preference_term,
-                                        dominant[sign + 1], sign))
-    return tuple(out)
-
-
-def sign_regimes(
-    p: ModelParams,
-) -> tuple[RegimeClassification, RegimeClassification]:
-    """Classify the ambiguous fertility partials in delta and gamma.
-
-    For the wife's aversion delta, fertility rises only when the induced
-    transfer response ``(a_w/rho*^2) * d rho*/d delta`` outweighs the direct
-    preference loss ``gamma/delta^2``. For her consumption taste gamma, it
-    rises only when the direct preference gain ``1/delta`` outweighs the
-    induced transfer loss ``-(a_w/rho*^2) * d rho*/d gamma``. The fertility
-    partial is, bit for bit, the transfer term minus the preference term for
-    delta and its negative for gamma, so its sign names the dominant channel.
-    """
-    rho = _interior(p).rho_star
-    d_rho = analytic_partials_rho(p)
-    return _regimes(p, rho, d_rho, _partials_n(p, rho, d_rho))
-
-
 def build_report(p: ModelParams) -> StaticsReport:
-    """Assemble the full statics report at one interior parameter point."""
+    """The full statics report at one interior parameter point.
+
+    Raises BoundaryStatics at the zero-fertility corner, and NumericalFailure
+    where an analytic cell is not finite, is zero or is subnormal.
+    """
     eq = _interior(p)
     rho = eq.rho_star
-    d_rho = analytic_partials_rho(p)
-    d_n = _partials_n(p, rho, d_rho)
-    delta_regime, gamma_regime = _regimes(p, rho, d_rho, d_n)
+    e, a_w, a_m = income_units(p)
+    try:
+        r = math.ldexp(rho, -e)
+        total = a_w + a_m
+        pull = p.alpha * a_w
+        slope = 2.0 * r + pull
+        s = r / slope
+        t = (r + pull) / slope
+        d_am = t * r / total
+        partial_rho = {
+            "alpha": s * rho / p.alpha,
+            "delta": t * rho / p.delta,
+            "gamma": -t * rho / p.gamma,
+            "a_w": s * ((r / a_w) * (a_w + total) / total + pull / total),
+            "a_m": d_am,
+        }
+        direct = eq.n_star + a_w / slope
+        lever = a_m / r
+        partial_n = {
+            "alpha": a_w / (p.alpha * slope),
+            "delta": -direct / p.delta,
+            "gamma": direct / p.gamma,
+            # Euler's identity (rho* is homogeneous of degree one in incomes)
+            # turns -1/rho* + (a_w/rho*^2)*(d rho*/d a_w) into this.
+            "a_w": math.ldexp(-lever * d_am / r, -e),
+            "a_m": math.ldexp((a_w / r) * t / total, -e),
+        }
+        radicand = math.ldexp(0.5 * slope, e) ** 2
+        transfer_term = (a_w / r) * t
+    except (ZeroDivisionError, OverflowError):
+        raise NumericalFailure("a statics cell leaves the floating-point range") from None
+    # Each preference channel outweighs its transfer channel at every
+    # interior point (see the module docstring), which fixes both signs.
+    delta_regime = RegimeClassification(
+        "delta", transfer_term / p.delta, p.gamma / p.delta / p.delta, "preference", -1)
+    gamma_regime = RegimeClassification(
+        "gamma", transfer_term / p.gamma, 1.0 / p.delta, "preference", 1)
+    ratio_partial = -lever * (lever * d_am)
+    cells = (radicand, ratio_partial, *partial_rho.values(), *partial_n.values(),
+             delta_regime.transfer_term, delta_regime.preference_term,
+             gamma_regime.transfer_term, gamma_regime.preference_term)
+    if not all(sys.float_info.min <= abs(v) < math.inf for v in cells):
+        raise NumericalFailure(f"a statics cell leaves the normal float range: {cells!r}")
     return StaticsReport(
-        radicand=transfer_radicand(p),
+        radicand=radicand,
         rho_star=rho,
         n_star=eq.n_star,
-        partial_rho=d_rho,
-        partial_n=d_n,
+        partial_rho=partial_rho,
+        partial_n=partial_n,
         fd_rho={k: fd_check(p, "rho", k) for k in PARTIAL_KEYS},
         fd_n={k: fd_check(p, "n", k) for k in PARTIAL_KEYS},
         delta_regime=delta_regime,
         gamma_regime=gamma_regime,
-        ratio_partial=_ratio_partial(p, rho, d_rho["a_w"]),
+        ratio_partial=ratio_partial,
         ratio_fd=ratio_fd(p),
     )

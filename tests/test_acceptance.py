@@ -13,9 +13,8 @@ import numpy as np
 
 from fertgames import (
     ModelParams,
-    analytic_partials_n,
-    analytic_partials_rho,
     benchmark_solve,
+    build_report,
     equilibrium_transfer,
     fd_check,
     fertility_threshold,
@@ -23,7 +22,6 @@ from fertgames import (
     oracle_benchmark,
     oracle_extended,
     oracle_game,
-    ratio_partial,
     solve_extended,
     solve_game,
     wife_reaction,
@@ -198,13 +196,13 @@ def test_criterion_06_comparative_statics():
     order_ok = True
     for _ in range(500):
         p = draw_interior_params(rng)
-        d_rho = analytic_partials_rho(p)
-        d_n = analytic_partials_n(p)
+        statics = build_report(p)
+        d_rho, d_n = statics.partial_rho, statics.partial_n
         for key in PARTIAL_KEYS:
             worst_fd = max(worst_fd, rel_err(fd_check(p, "rho", key), d_rho[key]))
             worst_fd = max(worst_fd, rel_err(fd_check(p, "n", key), d_n[key]))
         order_ok = order_ok and d_rho["a_w"] > d_rho["a_m"] > 0
-        order_ok = order_ok and ratio_partial(p) < 0
+        order_ok = order_ok and statics.ratio_partial < 0
 
     # Fertility falls monotonically along income-ratio grids.
     grid_ok = True
@@ -217,7 +215,7 @@ def test_criterion_06_comparative_statics():
                   for i in range(100)]
         grid_ok = grid_ok and all(a > b for a, b in zip(values, values[1:]))
 
-    anchor = analytic_partials_rho(ModelParams(2, 1, 1, 1, 1, 3))
+    anchor = build_report(ModelParams(2, 1, 1, 1, 1, 3)).partial_rho
     anchor_ok = (abs(anchor["a_m"] - 1 / 3) < 1e-9
                  and abs(anchor["a_w"] - 1.0) < 1e-9)
     report(6, worst_fd < 1e-4 and order_ok and grid_ok and anchor_ok,

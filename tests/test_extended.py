@@ -13,7 +13,6 @@ from fertgames import (
     solve_extended,
     solve_game,
 )
-from fertgames.extended import NO_INTERIOR_OPTIMUM, REGIME_DEGENERATE, SINGLE_POSITIVE_ROOT
 from conftest import (
     cubic_value,
     draw_params,
@@ -177,8 +176,7 @@ class TestSolveExtended:
         low = solve_extended(ANCHOR, "low")
         assert low.selected_rho == high.selected_rho
         assert low.n_star == high.n_star
-        assert REGIME_DEGENERATE in low.diagnostics
-        assert SINGLE_POSITIVE_ROOT in low.diagnostics
+        assert len(low.positive_roots) == 1
 
     def test_no_interior_optimum_boundary(self):
         p = ModelParams(alpha=1, delta=1, gamma=1, beta=1, a_w=0.5, a_m=0.5)
@@ -187,7 +185,6 @@ class TestSolveExtended:
         assert eq.n_star == 0.0
         assert eq.c_w == 0.5 and eq.c_m == 0.5
         assert not eq.interior
-        assert NO_INTERIOR_OPTIMUM in eq.diagnostics
         # The search oracle agrees the no-birth plateau is all there is.
         _, best = oracle_extended(p)
         assert best == pytest.approx(math.log(0.5), abs=1e-9)
@@ -213,8 +210,8 @@ class TestSolveExtended:
             foc = extended_cubic(p)
             for r in eq.real_roots:
                 assert abs(cubic_value(foc, r)) < 1e-9 * max(1.0, abs(foc[3]))
-            if eq.admissible_roots:
-                assert eq.selected_rho in eq.admissible_roots
+            if eq.selected_rho is not None:
+                assert eq.selected_rho in eq.positive_roots
 
     def test_foc_stationarity_at_admissible_roots(self, rng):
         checked = 0
@@ -238,7 +235,7 @@ class TestSolveExtended:
             if not eq.interior or eq.n_star < 1e-3:
                 continue
             rho_oracle, value_oracle = oracle_extended(p)
-            assert any(rel_err(rho_oracle, r) < 1e-6 for r in eq.admissible_roots)
+            assert rel_err(rho_oracle, eq.selected_rho) < 1e-6
             assert abs(value_oracle - husband_utility(p, eq.selected_rho)) < 1e-9
             checked += 1
 

@@ -20,7 +20,6 @@ from fertgames import (
     build_report,
     fd_check,
     fertility_threshold,
-    sign_regimes,
     solve_game,
 )
 from fertgames.cli import run_command
@@ -39,11 +38,13 @@ CONSUMPTION_UNDERFLOW = ModelParams(
     alpha=5.189242538305108e+149, delta=3.40513733805451e+113,
     gamma=3.9202583767045545e-128, beta=2.378227792783546e-105,
     a_w=1.2802385853184857e-73, a_m=2.2764574504243317e-51)
-# An interior game whose fertility partial in gamma is NaN.
-NAN_PARTIAL = ModelParams(
-    alpha=5.197481855818512e+41, delta=1.832903779693475e+125,
-    gamma=1.1645317484861312e+114, beta=2.060587035606783e-115,
-    a_w=9.333575082177382e+63, a_m=9.472029347256932e+82)
+# An interior game whose fertility partial in alpha is 7.2e-332.
+UNDERFLOWED_CELL = ModelParams(
+    alpha=4.372665839788055e+149, delta=1.601796310558531e-107,
+    gamma=1.9693951041570535e-77, beta=1.4652570979647548e-43,
+    a_w=1.845061610542952e-132, a_m=1.3045932075213852e+111)
+# An interior game whose statics radicand (alpha*a_w/2 + rho*)**2 is 9e400.
+UNREPRESENTABLE = ModelParams(2, 1, 1, 1, 1e200, 3e200)
 
 
 def floats(value):
@@ -76,8 +77,8 @@ def test_finite_or_model_error(decades):
     (fertility_threshold, THRESHOLD_OVERFLOW),
     (benchmark_solve, BUDGET_OVERFLOW),
     (benchmark_solve, CONSUMPTION_UNDERFLOW),
-    (sign_regimes, NAN_PARTIAL),
-    (build_report, NAN_PARTIAL),
+    (build_report, UNDERFLOWED_CELL),
+    (build_report, UNREPRESENTABLE),
     # A step of 1e-6 times a_m rounds to zero.
     (lambda p: fd_check(p, "rho", "a_m"), ModelParams(2, 1, 1, 1, 1, 5e-324)),
 ])
@@ -92,7 +93,7 @@ def test_numerical_failure(route, p):
     ("statics", "game", FLUSHED_INCOME),
     ("solve", "benchmark", BUDGET_OVERFLOW),
     ("solve", "benchmark", CONSUMPTION_UNDERFLOW),
-    ("statics", "game", NAN_PARTIAL),
+    ("statics", "game", UNREPRESENTABLE),
 ])
 def test_cli_exit_three(tmp_path, capsys, command, model, p):
     scn = tmp_path / "range.scn"
