@@ -1,34 +1,43 @@
-"""Leader cubic shared by the extended game and the subsidized game.
+"""Leader condition shared by the three leader-follower solves.
 
-In both games the husband commits to a per-child transfer ``rho`` and the
+In every game the husband commits to a per-child transfer ``rho`` and the
 wife answers with fertility ``n(r) = G - a_w/r``, ``G = gamma/delta``, where
 ``r = rho + s`` is what she receives per child: the transfer plus a subsidy
 ``s`` paid from outside the household. The husband pays ``paid + rho`` per
 child: ``paid = beta`` in the extended game, where he carries an explicit
-rearing cost, and ``paid = 0`` in the subsidized game. With ``k = paid - s``
-his budget is ``c_m = a_m - (r + k)*n``, and substituting the wife's answer
-turns his first-order condition into one cubic in ``r``:
+rearing cost, and ``paid = 0`` in the transfer game, with or without a
+subsidy. With ``k = paid - s`` his budget is ``c_m = a_m - (r + k)*n``, and
+substituting the wife's answer turns his first-order condition into one
+cubic in ``r``:
 
     (G/a_w)*r**3 + alpha*G*r**2
         + [k + alpha*k*G - alpha*(a_m + a_w)]*r - alpha*k*a_w = 0.
 
-In the extended game (``k = beta > 0``) the coefficient pattern is
-(+, +, any, -), which has exactly one sign variation, so by Descartes' rule
-the cubic has exactly one positive root regardless of parameter values. In
-the subsidized game (``k = -s < 0``) the pattern is (+, +, -, +), with zero
-or two positive roots.
+Only its largest real root can be his optimum:
 
-The equilibrium is the candidate with the highest husband utility among the
-roots with ``rho > 0`` that give ``n > 0`` and ``c_m > 0``, the boundary
-``rho = 0`` when ``s > 0``, and the no-birth corner. Fertility does not
-depend on the scale of incomes, so the cubic is solved in units of ``a_m``,
-from ``R = a_w/a_m``, ``k/a_m`` and ``s/a_m``; no intermediate value
-overflows, and the transfer and consumptions are scaled back at the end.
+* ``k = 0`` (the transfer game without a subsidy): the cubic is ``r*Q(r)``
+  with the quadratic ``Q(r) = (G/a_w)*r**2 + alpha*G*r - alpha*(a_m + a_w)``,
+  whose positive root :func:`equilibrium_transfer` gives in closed form.
+* ``k > 0`` (the extended game): the coefficient pattern (+, +, any, -) has
+  one sign variation, so by Descartes' rule the positive root is unique.
+* ``k < 0`` (a subsidy): the pattern (+, +, -, +) gives zero or two positive
+  roots. The cubic crosses downward at the smaller one, a local minimum of
+  his utility.
 
-Cultural regimes pick the smallest ("low") or largest ("high") admissible
-root of the extended game. With its single positive root both coincide.
-Empirical root counts are reported so the one-root structure is visible in
-output rather than assumed.
+Without a subsidy his utility rises from the no-birth corner to the root, so
+the root is his optimum wherever it gives ``n > 0``. With one, the root is
+compared by utility with the boundary ``rho = 0`` and the corner.
+
+The cubic is solved in the power-of-two income units of
+:func:`income_units`, which are exact in binary, and the allocation is
+computed in absolute units. At a root where he spends at least
+half his income, ``a_m - spent`` would cancel, and the first-order identity
+``c_m = (G*(r/a_w)*r + k)/alpha`` replaces it. A paid transfer and the
+husband's consumption must be normal floats, or the solve raises
+NumericalFailure rather than print lost digits.
+
+With one admissible root in every model, the cultural regimes "low" and
+"high" (smallest or largest admissible root) coincide.
 """
 
 from __future__ import annotations
@@ -184,57 +193,123 @@ def real_roots(coeffs: tuple[float, float, float, float]) -> tuple[float, ...]:
     return tuple(sorted(math.ldexp(z, exp) for z in zs))
 
 
+def transfer_root(alpha, delta, gamma, a_w, a_m, sqrt):
+    """Positive root of the husband's first-order quadratic, unscaled, and
+    whether it keeps its digits.
+
+    Evaluated in the cancellation-free form ``q / (alpha*a_w/2 + sqrt(X))``
+    with ``q = (alpha*delta/gamma)*a_w*(a_w + a_m)`` and
+    ``X = (alpha*a_w/2)**2 + q``, which is exact even when the two terms of
+    the textbook expression ``-alpha*a_w/2 + sqrt(X)`` nearly cancel. Runs
+    on floats with ``math.sqrt`` and on numpy arrays with ``numpy.sqrt``.
+
+    The flag (a bool or boolean array) holds where ``a_w``, ``alpha*delta``,
+    ``q`` and the root are normal floats, so the root keeps its digits; a
+    subnormal ``alpha*a_w/2`` or its square is then negligible.
+    """
+    ad = alpha * delta
+    half = 0.5 * alpha * a_w
+    q = ad / gamma * a_w * (a_w + a_m)
+    root = q / (half + sqrt(half * half + q))
+    tiny = sys.float_info.min
+    return root, (a_w >= tiny) & (ad >= tiny) & (q >= 2.0 * tiny) & (root >= tiny)
+
+
+def income_units(p: ModelParams) -> tuple[int, float, float]:
+    """``(e, a_w*2**-e, a_m*2**-e)``: the power of two ``2**e`` that brings the
+    larger income into [0.5, 1), and both incomes in that unit (exact unless
+    the smaller one falls below the normal range)."""
+    _, e = math.frexp(p.a_w if p.a_w > p.a_m else p.a_m)
+    return e, math.ldexp(p.a_w, -e), math.ldexp(p.a_m, -e)
+
+
+def equilibrium_transfer(p: ModelParams) -> float:
+    """Positive root of the husband's first-order quadratic without a
+    subsidy, ``rho**2 + alpha*a_w*rho - (alpha*delta/gamma)*a_w*(a_w + a_m)``.
+
+    The root is homogeneous of degree one in incomes, so it is computed in
+    the units of :func:`income_units` and scaled back: exact in binary, and
+    ``q`` no longer overflows near 1e300 or underflows near 1e-300. Raises
+    NumericalFailure where the transfer, or a term it is computed from, is
+    not a normal float, so that its digits would be lost.
+    """
+    e, a_w, a_m = income_units(p)
+    try:
+        root, accurate = transfer_root(p.alpha, p.delta, p.gamma, a_w, a_m, math.sqrt)
+        rho = math.ldexp(root, e)
+    except (ZeroDivisionError, OverflowError):
+        accurate = False
+    if not (accurate and rho >= sys.float_info.min):
+        raise NumericalFailure(
+            f"the transfer at incomes {p.a_w!r} and {p.a_m!r} leaves the normal float range")
+    return rho
+
+
 def leader_optimum(
     p: ModelParams, paid: float, subsidy: float
 ) -> tuple[tuple[float, ...], float | None, float, float, float]:
     """Husband's best transfer when he pays ``paid + rho`` and she receives
-    ``rho + subsidy`` per child.
+    ``r = rho + subsidy`` per child.
 
-    Returns the real roots of the leader cubic in ``r = rho + subsidy``, the
-    transfer ``rho`` (None at the no-birth corner), fertility and both
-    consumptions.
+    Returns the real roots of the leader cubic in ``r`` (at ``k = 0`` only
+    the positive root of its quadratic factor), the transfer ``rho`` (None
+    at the no-birth corner), fertility and both consumptions. Raises
+    NumericalFailure where a root, a paid transfer, the husband's
+    consumption or the wife's leaves the floating-point range.
     """
     g = p.gamma / p.delta
-    ratio = p.income_ratio
-    kappa = (paid - subsidy) / p.a_m
-    sigma = subsidy / p.a_m
-    coeffs = _leader_cubic(g, p.alpha, ratio, 1.0, kappa)
-    if coeffs[0] == 0.0 or coeffs[3] == 0.0:
-        raise NumericalFailure(f"leader cubic {coeffs!r} underflows")
-    roots = real_roots(coeffs)
+    k = paid - subsidy
+    if k == 0.0:
+        roots = (equilibrium_transfer(p),)
+    else:
+        p.income_ratio  # raises where the ratio leaves the float range
+        e, a_w, a_m = income_units(p)
+        try:
+            coeffs = _leader_cubic(g, p.alpha, a_w, a_m, math.ldexp(k, -e))
+            if coeffs[0] == 0.0 or coeffs[3] == 0.0:
+                raise NumericalFailure(f"leader cubic {coeffs!r} underflows")
+            roots = tuple(math.ldexp(x, e) for x in real_roots(coeffs))
+        except OverflowError:
+            raise NumericalFailure(f"the leader cubic at {p!r} leaves the float range") from None
+    r = roots[-1]
+    best = None  # (u, r, n, c_m) of the winning candidate; None at the corner
+    if r > subsidy:
+        if not _normal(r - subsidy):
+            raise NumericalFailure(f"the transfer {r - subsidy!r} is not a normal float")
+        n = g - p.a_w / r
+        spent = (r + k) * n
+        c_m = p.a_m - spent
+        if not spent < 0.5 * p.a_m:
+            c_m = (g * (r / p.a_w) * r + k) / p.alpha
+        if subsidy == 0.0:
+            if n > 0.0:
+                best = 0.0, r, n, c_m
+        elif n > 0.0 and c_m > 0.0:
+            # His utility measured from the corner, ln(c_m/a_m) + alpha*n.
+            u = (math.log1p(-spent / p.a_m) if spent < 0.5 * p.a_m
+                 else math.log(c_m) - math.log(p.a_m)) + p.alpha * n
+            if u > 0.0:
+                best = u, r, n, c_m
+    if subsidy > 0.0:
+        # At the boundary rho = 0 he pays nothing and keeps a_m.
+        n = g - p.a_w / subsidy
+        if n > 0.0 and p.alpha * n > (0.0 if best is None else best[0]):
+            best = p.alpha * n, subsidy, n, p.a_m
 
-    # Candidates as (r, rho) in units of a_m. His utility is measured from
-    # the no-birth corner, where he keeps a_m: ln(c_m/a_m) + alpha*n.
-    candidates = [(x, x - sigma) for x in roots if x > sigma]
-    if sigma > 0.0:
-        candidates.append((sigma, 0.0))
-    best_u, best = 0.0, None
-    for x, rho in candidates:
-        n = g - ratio / x
-        if not n > 0.0:
-            continue
-        spent = (x + kappa) * n
-        if spent < 0.5 or rho == 0.0:
-            c_m = 1.0 - spent
-        else:
-            # 1 - spent cancels as spent nears 1; at a root the first-order
-            # condition gives c_m/a_m = (G*x**2/R + kappa)/alpha without it.
-            c_m = ((g / ratio) * x * x + kappa) / p.alpha
-        if not c_m > 0.0:
-            continue
-        u = (math.log1p(-spent) if spent < 0.5 else math.log(c_m)) + p.alpha * n
-        if u > best_u:
-            best_u, best = u, (rho, n, c_m)
-
-    real = tuple(p.a_m * x for x in roots)
     if best is None:
-        return real, None, 0.0, p.a_w, p.a_m
-    rho, n, c_m = best
-    rho *= p.a_m
-    c_w = p.a_w + (rho + subsidy) * n
+        return roots, None, 0.0, p.a_w, p.a_m
+    _, r, n, c_m = best
+    rho, c_w = r - subsidy, p.a_w + r * n
+    if rho > 0.0 and not _normal(c_m):
+        raise NumericalFailure(f"the husband's consumption {c_m!r} is not a normal float")
     if not math.isfinite(c_w):
         raise NumericalFailure(f"wife's consumption {c_w!r} is not finite")
-    return real, rho, n, c_w, p.a_m * c_m
+    return roots, rho, n, c_w, c_m
+
+
+def _normal(x):
+    """Whether ``x``, a float or an array, is a positive normal float."""
+    return (x >= sys.float_info.min) & (x < math.inf)
 
 
 def _libm(fn, x, *args):
@@ -335,8 +410,9 @@ def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
     ``acos``, ``cos``, ``log`` and ``log1p`` are ``math``'s. The arguments
     are arrays or floats; ``subsidy`` is one float. Returns
     ``(n, rho, c_w, c_m, ok)`` with ``rho`` NaN at the no-birth corner.
-    Households outside ``ok`` must be solved by :func:`leader_optimum`,
-    which raises for those it cannot answer; their values here mean nothing.
+    Households outside ``ok`` are those the scalar route refuses, or whose
+    utilities (:func:`~fertgames.core.utility_linear_pair`) are not finite;
+    their values here mean nothing.
     """
     import numpy as np
 
@@ -344,56 +420,63 @@ def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
         alpha, delta, gamma, a_w, a_m, paid)
     with np.errstate(all="ignore"):
         g = gamma / delta
-        ratio = a_w / a_m
-        kappa = (paid - subsidy) / a_m
-        sigma = subsidy / a_m
-        c3, c2, c1, c0 = _leader_cubic(g, alpha, ratio, 1.0, kappa)
-        roots, ok = _real_roots_arrays(c3, c2, c1, c0)
-        ok &= (ratio > 0.0) & (ratio < math.inf) & (c3 != 0.0) & (c0 != 0.0)
+        k = paid - subsidy
+        e = np.frexp(np.maximum(a_w, a_m))[1]
+        aw_e, am_e = np.ldexp(a_w, -e), np.ldexp(a_m, -e)
+        zero = k == 0.0
+        if zero.any():
+            root, ok = transfer_root(alpha, delta, gamma, aw_e, am_e, np.sqrt)
+            r = np.ldexp(root, e)
+            ok = ok & _normal(r)
+        if not zero.all():
+            c3, c2, c1, c0 = _leader_cubic(g, alpha, aw_e, am_e, np.ldexp(k, -e))
+            roots, cubic_ok = _real_roots_arrays(c3, c2, c1, c0)
+            roots = np.ldexp(roots, e)
+            ratio = a_w / a_m
+            cubic_ok &= ((ratio > 0.0) & (ratio < math.inf) & (c3 != 0.0) & (c0 != 0.0)
+                         & ~np.isinf(roots).any(axis=0))
+            largest = np.fmax.reduce(roots, axis=0)  # the last root that is not NaN
+            r = np.where(zero, r, largest) if zero.any() else largest
+            ok = np.where(zero, ok, cubic_ok) if zero.any() else cubic_ok
 
-        # The candidates of the scalar loop, in its order: the roots
-        # ascending (a missing root is NaN and never exceeds sigma), then
-        # the boundary; the best changes only on a strictly higher utility.
-        best_u, best_n, best_cm = np.zeros_like(g), np.zeros_like(g), np.zeros_like(g)
-        best_rho = np.full_like(g, np.nan)
-        for x, rho, valid in [(x, x - sigma, x > sigma) for x in roots] + [
-                (sigma, 0.0, sigma > 0.0)]:
-            n = g - ratio / x
-            valid = valid & ok & (n > 0.0)
-            spent = (x + kappa) * n
-            head = spent < 0.5
-            c_m = np.where(head | (rho == 0.0), 1.0 - spent,
-                           ((g / ratio) * x * x + kappa) / alpha)
-            valid &= c_m > 0.0
-            log_c = np.zeros_like(g)
-            lanes = valid & head
-            log_c[lanes] = _libm(math.log1p, -spent[lanes])
-            lanes = valid & ~head
-            log_c[lanes] = _libm(math.log, c_m[lanes])
-            u = log_c + alpha * n
-            better = valid & (u > best_u)
-            best_u = np.where(better, u, best_u)
-            best_rho = np.where(better, rho, best_rho)
-            best_n = np.where(better, n, best_n)
-            best_cm = np.where(better, c_m, best_cm)
-
-        found = best_n > 0.0
-        rho = best_rho * a_m
-        c_w = np.where(found, a_w + (rho + subsidy) * best_n, a_w)
-        c_m = np.where(found, a_m * best_cm, a_m)
-    ok &= np.isfinite(c_w) & (c_w > 0.0) & np.isfinite(c_m) & (c_m > 0.0)
-    return best_n, rho, c_w, c_m, ok
+        paying = r > subsidy
+        ok &= ~paying | _normal(r - subsidy)
+        n = g - a_w / r
+        spent = (r + k) * n
+        head = spent < 0.5 * a_m
+        c_m = np.where(head, a_m - spent, (g * (r / a_w) * r + k) / alpha)
+        found = paying & (n > 0.0)
+        if subsidy > 0.0:
+            found &= c_m > 0.0
+            u = np.zeros_like(g)
+            lanes = found & head
+            u[lanes] = _libm(math.log1p, -spent[lanes] / a_m[lanes])
+            lanes = found & ~head
+            u[lanes] = _libm(math.log, c_m[lanes]) - _libm(math.log, a_m[lanes])
+            found &= u + alpha * n > 0.0
+            n_edge = g - a_w / subsidy
+            edge = (n_edge > 0.0) & (alpha * n_edge > np.where(found, u + alpha * n, 0.0))
+            found |= edge
+            r = np.where(edge, subsidy, r)
+            n = np.where(edge, n_edge, n)
+            c_m = np.where(edge, a_m, c_m)
+        n = np.where(found, n, 0.0)
+        rho = np.where(found, r - subsidy, np.nan)
+        c_m = np.where(found, c_m, a_m)
+        c_w = np.where(found, a_w + r * n, a_w)
+        ok &= ~(rho > 0.0) | _normal(c_m)
+        ok &= (np.isfinite(c_w) & np.isfinite(gamma * np.log(c_w) - delta * n)
+               & np.isfinite(np.log(c_m) + alpha * n))
+    return n, rho, c_w, c_m, ok
 
 
 def solve_extended(p: ModelParams, regime: str) -> ExtendedEquilibrium:
     """Equilibrium of the extended game under a cultural regime.
 
-    Solved by :func:`leader_optimum` with ``paid = beta`` and no subsidy. A
-    root the husband prefers to the no-birth corner is a local maximum of his
-    utility, where the cubic crosses upward (``f'(rho) > 0``). The positive
-    root is unique, so ``regime='low'`` (smallest admissible root) and
-    ``'high'`` (largest) select the same one. With no admissible root the
-    no-birth corner is returned.
+    Solved by :func:`leader_optimum` with ``paid = beta`` and no subsidy:
+    the unique positive root of the cubic where it gives positive fertility,
+    the no-birth corner otherwise. So ``regime='low'`` (smallest admissible
+    root) and ``'high'`` (largest) select the same one.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be 'low' or 'high', got {regime!r}")

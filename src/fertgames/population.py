@@ -12,15 +12,14 @@ PCG64 seeding, and sets each state on one reused generator.
 
 Every model is solved as array expressions over slices of households, in
 the operation order of its scalar solver, so every n* and rho* is
-bit-identical to a scalar solve: the pooled budget, the unsubsidized game's
-quadratic, and the leader cubic of the extended model and the subsidized
-game, whose few transcendental functions are libm's, applied element by
-element. Each check of the scalar route (positive parameters, preference
-order, transfer, cubic range, consumption domain, utility range) is an array
-mask; a household that fails one is handed to the scalar route, which raises
-the same error. A positive subsidy is solvable under the transfer game, where
-it turns the husband's first-order condition into the leader cubic of
-:mod:`fertgames.extended`. The subsidy is funded from general revenue: it
+bit-identical to a scalar solve: the pooled budget, and the leader condition
+of :mod:`fertgames.extended` that the transfer game, with or without a
+subsidy, shares with the extended model, whose few transcendental functions
+are libm's, applied element by element. Each check of the scalar route
+(positive parameters, preference order, transfer, cubic range, consumption
+range, utility range) is an array mask; a household that fails one is handed
+to the scalar route, which raises the same error. A positive subsidy is
+solvable under the transfer game only. It is funded from general revenue: it
 raises the wife's effective per-child receipt without touching either
 spouse's budget.
 
@@ -32,7 +31,6 @@ how much of the population sits past the fertility threshold.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
@@ -40,7 +38,7 @@ from typing import TYPE_CHECKING
 from .core import PARAM_NAMES, ModelParams, benchmark_solve, pooled_allocation
 from .errors import HouseholdSolveFailure, InvalidDistribution, ModelError
 from .extended import REGIMES, leader_optima, solve_extended
-from .game import husband_consumption, solve_game, transfer_root
+from .game import solve_game
 
 if TYPE_CHECKING:
     import numpy as np
@@ -288,43 +286,24 @@ def _solve_one(spec: PopulationSpec, p: ModelParams, index: int) -> tuple[float,
 def _solve_arrays(spec: PopulationSpec, alpha, delta, gamma, beta, a_w, a_m):
     """``(n, rho, ok)`` of a slice of households solved as arrays.
 
-    ``benchmark_solve``, ``equilibrium_transfer`` with ``wife_reaction``,
-    and ``leader_optimum`` run as array expressions in their scalar
-    operation order, so every n* and rho* (None for the benchmark model)
-    has the scalar route's bits. Households outside ``ok`` are those a check
-    of the scalar route would reject.
+    ``benchmark_solve`` and ``leader_optimum`` run as array expressions in
+    their scalar operation order, so every n* and rho* (None for the
+    benchmark model) has the scalar route's bits. Households outside ``ok``
+    are those a check of the scalar route would reject.
     """
     import numpy as np
 
-    with np.errstate(all="ignore"):
-        if spec.model == "benchmark":
+    if spec.model == "benchmark":
+        with np.errstate(all="ignore"):
             c_w, c_m, n = pooled_allocation(alpha, delta, gamma, beta, a_w, a_m)
             # Finite utilities need c_w, c_m and n finite and positive.
             log_c_w, log_c_m, log_n = np.log(c_w), np.log(c_m), np.log(n)
             u_w = gamma * log_c_w - delta * log_n
             utilities = (u_w, log_c_m + alpha * log_n, u_w - gamma * np.log(a_w),
                          gamma * log_c_w + log_c_m + (alpha - delta) * log_n)
-            return n, None, (alpha > delta) & np.isfinite(utilities).all(axis=0)
-        if spec.model == "game" and spec.subsidy == 0:
-            e = np.frexp(np.maximum(a_w, a_m))[1]
-            root, accurate = transfer_root(alpha, delta, gamma, np.ldexp(a_w, -e),
-                                           np.ldexp(a_m, -e), np.sqrt)
-            rho = np.ldexp(root, e)
-            response = gamma / delta + -a_w / rho
-            n = np.where(response > 0.0, response, 0.0)  # max(0.0, response)
-            spent = rho * n
-            c_w = a_w + spent
-            c_m = np.where(spent < 0.5 * a_m, a_m - spent,
-                           husband_consumption(gamma / delta, alpha, a_w, rho))
-            tiny = sys.float_info.min
-            ok = (accurate & (rho >= tiny) & np.isfinite(rho) & (c_w > 0)
-                  & (c_m >= tiny) & np.isfinite(c_m)
-                  & np.isfinite(alpha * n) & np.isfinite(gamma * np.log(c_w) - delta * n))
-            return n, rho, ok
-    if spec.model == "extended":
-        n, rho, _, _, ok = leader_optima(alpha, delta, gamma, a_w, a_m, beta, 0.0)
-    else:
-        n, rho, _, _, ok = leader_optima(alpha, delta, gamma, a_w, a_m, 0.0, spec.subsidy)
+        return n, None, (alpha > delta) & np.isfinite(utilities).all(axis=0)
+    paid = beta if spec.model == "extended" else 0.0
+    n, rho, _, _, ok = leader_optima(alpha, delta, gamma, a_w, a_m, paid, spec.subsidy)
     return n, rho, ok
 
 

@@ -14,7 +14,7 @@ fertility, the direct preference term always outweighs the induced transfer
 term. Each closed form is also certified against a central finite difference.
 
 Cells of degree zero in incomes are evaluated in the power-of-two income
-units of :func:`~fertgames.game.equilibrium_transfer`, the transfer's
+units of :func:`~fertgames.extended.equilibrium_transfer`, the transfer's
 partials in preferences from the absolute transfer. Every cell is strictly
 signed at an interior point, so one that is not finite, is zero or is
 subnormal raises ``NumericalFailure``. At the zero-fertility corner the clamp
@@ -31,7 +31,8 @@ from functools import wraps
 
 from .core import ModelParams, check_finite
 from .errors import BoundaryStatics, NumericalFailure
-from .game import GameEquilibrium, equilibrium_transfer, income_units, solve_game
+from .extended import equilibrium_transfer, income_units
+from .game import GameEquilibrium, solve_game
 
 PARTIAL_KEYS = ("alpha", "delta", "gamma", "a_w", "a_m")
 

@@ -175,6 +175,24 @@ class TestExitCodes:
         assert out.out == ""
         assert "solver failure" in out.err
 
+    @pytest.mark.parametrize("scenario", [
+        # The transfer of the extended game is subnormal (4.7e-320).
+        "model = extended\nregime = high\nalpha = 2.101451275868292e87\n"
+        "delta = 5.194926253028594e-109\ngamma = 6.440184239968988e63\n"
+        "beta = 2.1803794696445467e-82\na_w = 5.884178548989604e-148\n"
+        "a_m = 1.1255409357259234e-75\n",
+        # The husband's consumption under the subsidy is subnormal (4e-312).
+        "model = game\nalpha = 1e12\ndelta = 1\ngamma = 1\na_w = 1e-300\n"
+        "a_m = 1e-300\nsubsidy = 1e-305\n",
+    ], ids=["extended", "subsidized"])
+    def test_subnormal_leader_allocation_is_three(self, tmp_path, capsys, scenario):
+        scn = tmp_path / "subnormal.scn"
+        scn.write_text(scenario)
+        assert run_command(["solve", str(scn)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "solver failure" in out.err
+
     def test_overflowing_scaled_cubic_exits_zero_or_three(self, tmp_path, capsys):
         p = LEAD_OVERFLOW
         scn = tmp_path / "overflow.scn"

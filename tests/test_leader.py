@@ -1,4 +1,4 @@
-"""Leader cubic of the extended and subsidized games against certifiers.
+"""Leader condition of the three leader-follower solves against certifiers.
 
 The certifier solves the husband's problem again in mpmath at 40 digits: the
 real roots of his first-order cubic in the wife's receipt ``r = rho + s``,
@@ -122,6 +122,15 @@ def test_subsidized_route_matches_mpmath(p, subsidy):
 def test_subsidized_route_never_loses_to_search_oracle(p, subsidy):
     # The oracle can miss a narrow interior peak, so only utility is compared.
     assert solve_game(p, subsidy).u_m >= oracle_game(p, subsidy).u_m - 1e-12
+
+
+@pytest.mark.parametrize("p,_", DRAWS)
+def test_game_route_matches_mpmath(p, _):
+    # At k = 0 the certifier's cubic has the root 0, never a candidate.
+    eq = solve_game(p)
+    want_rho, want_n = mp_leader(p, 0.0, 0.0)
+    assert_matches(eq.rho_star, eq.n_star, want_rho, want_n)
+    assert eq.interior == (want_n > 0)
 
 
 @pytest.mark.parametrize("p,_", DRAWS)

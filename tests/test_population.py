@@ -341,14 +341,18 @@ class TestAggregate:
             assert exc.value.index == 0
             assert isinstance(exc.value.__cause__, NumericalFailure)
 
-    @pytest.mark.parametrize("model,p", [
-        ("game", UTILITY_OVERFLOW),
+    @pytest.mark.parametrize("model,p,subsidy", [
+        ("game", UTILITY_OVERFLOW, 0.0),
         # gamma*ln(c_w) overflows in the pooled budget.
-        ("benchmark", ModelParams(2, 1, 1e307, 1e-10, 5e-17, 5e-17)),
-    ])
-    def test_utility_beyond_float_range_fails(self, model, p):
+        ("benchmark", ModelParams(2, 1, 1e307, 1e-10, 5e-17, 5e-17), 0.0),
+        # gamma*ln(c_w) overflows in the leader games.
+        ("extended", ModelParams(2, 1e307, 1e307, 1, 1e10, 3e10), 0.0),
+        ("game", ModelParams(2, 1e307, 1e307, 1, 1e10, 3e10), 0.5),
+    ], ids=["game-p0", "benchmark-p1", "extended", "subsidized"])
+    def test_utility_beyond_float_range_fails(self, model, p, subsidy):
         spec = point_spec(p.a_w, p.a_m, count=3, model=model, alpha=p.alpha,
-                          delta=p.delta, gamma=p.gamma, beta=p.beta)
+                          delta=p.delta, gamma=p.gamma, beta=p.beta,
+                          subsidy=subsidy)
         with pytest.raises(NumericalFailure):
             _solve_household(spec, sample_household(spec, 0))
         with pytest.raises(HouseholdSolveFailure) as exc:
@@ -395,13 +399,15 @@ def log_uniform_households(seed, span: float, count: int) -> list:
     return [np.exp(rng.uniform(-span, span, count)) for _ in range(6)]
 
 
-def batched_leader(columns, subsidy: float):
+def batched_leader(columns, subsidy: float, game: bool = False):
+    """``leader_optima`` of the subsidized game (``subsidy > 0``), the
+    transfer game without one (``game``) or else the extended game."""
     alpha, delta, gamma, beta, a_w, a_m = columns
-    paid = 0.0 if subsidy else beta
+    paid = 0.0 if subsidy or game else beta
     return leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy)
 
 
-def scalar_leader(columns, subsidy: float):
+def scalar_leader(columns, subsidy: float, game: bool = False):
     """``leader_optimum`` household by household: the rows of
     ``(n, rho, c_w, c_m)`` (rho NaN at the corner), or None where it raises,
     and the count of three-root cubics, boundary wins and corners."""
@@ -410,7 +416,7 @@ def scalar_leader(columns, subsidy: float):
         p = ModelParams(*values)
         try:
             roots, rho, n, c_w, c_m = leader_optimum(
-                p, 0.0 if subsidy else p.beta, subsidy)
+                p, 0.0 if subsidy or game else p.beta, subsidy)
         except ModelError:
             rows.append(None)
             continue
@@ -435,23 +441,25 @@ class TestBatchedLeader:
     """``leader_optima`` against the scalar ``leader_optimum``, household by
     household and bit for bit."""
 
-    @pytest.mark.parametrize("subsidy", [0.0, 1e-3, 0.5, 10.0],
-                             ids=["extended", "s=1e-3", "s=0.5", "s=10"])
-    def test_bit_identical_to_scalar_route(self, subsidy):
+    @pytest.mark.parametrize("subsidy,game", [
+        (0.0, False), (0.0, True), (1e-3, False), (0.5, False), (10.0, False)],
+        ids=["extended", "paid=subsidy=0", "s=1e-3", "s=0.5", "s=10"])
+    def test_bit_identical_to_scalar_route(self, subsidy, game):
         seen_total = dict.fromkeys(("three roots", "boundary", "corner"), 0)
         for j, span in enumerate((E2, E50)):
             columns = log_uniform_households(
                 [SEED_LEADER, j, int(subsidy * 1000)], span, 20_000)
-            *got, ok = batched_leader(columns, subsidy)
-            rows, seen = scalar_leader(columns, subsidy)
+            *got, ok = batched_leader(columns, subsidy, game)
+            rows, seen = scalar_leader(columns, subsidy, game)
             assert ok.all() and None not in rows
             for got_column, want_column in zip(got, zip(*rows)):
                 assert_same_bits(got_column, want_column)
             for key in seen:
                 seen_total[key] += seen[key]
-        # The draws reach every branch: the trigonometric root, the
-        # boundary rho = 0 (only a subsidy offers it) and the corner.
-        assert seen_total["three roots"] > 0 and seen_total["corner"] > 0
+        # The draws reach every branch: the trigonometric root (the cubic
+        # is left unsolved at k = 0), the boundary rho = 0 (only a subsidy
+        # offers it) and the corner.
+        assert (seen_total["three roots"] > 0) != game and seen_total["corner"] > 0
         assert (seen_total["boundary"] > 0) == (subsidy > 0)
 
     @pytest.mark.parametrize("subsidy", [0.0, 0.5], ids=["extended", "s=0.5"])
