@@ -168,10 +168,16 @@ def _solve(cfg: ScenarioConfig) -> tuple[str, tuple]:
         ext.regime, len(ext.positive_roots))
 
 
+def _unsubsidized_game(cfg: ScenarioConfig, command: str) -> ModelParams:
+    """The parameters of a game scenario without a subsidy, the only kind
+    ``statics`` and ``threshold`` take."""
+    if cfg.model != "game" or cfg.subsidy:
+        raise ScenarioError(f"{command} requires a game-model scenario without a subsidy")
+    return cfg.params
+
+
 def _statics_rows(cfg: ScenarioConfig) -> list[str]:
-    if cfg.model != "game":
-        raise ScenarioError("statics requires a game-model scenario")
-    report = statics_mod.build_report(cfg.params)
+    report = statics_mod.build_report(_unsubsidized_game(cfg, "statics"))
     notes = {
         "delta": f"{report.delta_regime.dominant}_dominates"
         f"({report.delta_regime.predicted_sign:+d})",
@@ -226,7 +232,6 @@ def _population_rows(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]
         gamma=cfg.params.gamma,
         beta=cfg.params.beta,
         model=cfg.model,
-        regime=cfg.regime or "high",
         subsidy=cfg.subsidy,
     )
     report = aggregate(spec)
@@ -329,18 +334,18 @@ def run_command(argv: list[str]) -> int:
                           newline="\n") as fh:
                     fh.write(chart)
         elif args.command == "threshold":
-            if cfg.model != "game":
-                raise ScenarioError("threshold requires a game-model scenario")
-            value = fertility_threshold(cfg.params)
+            value = fertility_threshold(_unsubsidized_game(cfg, "threshold"))
             _emit(["param,threshold", _row("a_w", value)], None)
         elif args.command == "population":
             _emit(_population_rows(cfg, args), None)
         else:  # pragma: no cover - argparse enforces the choices
             raise ScenarioError(f"unknown command {args.command!r}")
-    except (BoundaryStatics, NumericalFailure, HouseholdSolveFailure) as exc:
-        print(f"fertgames: solver failure: {exc}", file=sys.stderr)
-        return 3
     except (ModelError, ValueError) as exc:
+        # A household's failure exits as its cause would from ``solve``.
+        cause = exc.__cause__ if isinstance(exc, HouseholdSolveFailure) else exc
+        if isinstance(cause, (BoundaryStatics, NumericalFailure)):
+            print(f"fertgames: solver failure: {exc}", file=sys.stderr)
+            return 3
         print(f"fertgames: invalid input: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

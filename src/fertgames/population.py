@@ -10,12 +10,14 @@ equality. The sampler does not build a generator per household: it derives
 every household's PCG64 state at once by numpy's documented SeedSequence and
 PCG64 seeding, and sets each state on one reused generator.
 
-Every model is solved as array expressions over slices of households, in
-the operation order of its scalar solver, so every n* and rho* is
-bit-identical to a scalar solve: the pooled budget, and the leader condition
-of :mod:`fertgames.extended` that the transfer game, with or without a
-subsidy, shares with the extended model, whose few transcendental functions
-are libm's, applied element by element. Each check of the scalar route
+A population is walked once, in slices of ``_CHUNK`` households: each
+slice is drawn, solved and reduced to its fertility, transfer and income
+ratio before the next is drawn, so no draw outlives its slice. Every model
+is solved as array expressions over a slice, in the operation order of its
+scalar solver, so every n* and rho* is bit-identical to a scalar solve: the
+pooled budget, and the leader condition of :mod:`fertgames.extended` that the
+transfer game, with or without a subsidy, shares with the extended model,
+whose few transcendental functions are libm's, applied element by element. Each check of the scalar route
 (positive parameters, preference order, transfer, cubic range, consumption
 range, utility range) is an array mask; a household that fails one is handed
 to the scalar route, which raises the same error. A positive subsidy is
@@ -37,7 +39,7 @@ from typing import TYPE_CHECKING
 
 from .core import PARAM_NAMES, ModelParams, benchmark_solve, pooled_allocation
 from .errors import HouseholdSolveFailure, InvalidDistribution, ModelError
-from .extended import REGIMES, leader_optima, solve_extended
+from .extended import leader_optima, solve_extended
 from .game import solve_game
 
 if TYPE_CHECKING:
@@ -55,7 +57,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-# Households seeded per pass, which bounds the memory of the Python-int states.
+# Households drawn, solved and reduced per slice, which bounds the memory of
+# the Python-int states and of the drawn columns.
 _CHUNK = 1 << 16
 
 
@@ -69,6 +72,10 @@ class LogNormalSpec:
 
 @dataclass(frozen=True)
 class PopulationSpec:
+    """A seeded population, checked when built: a count or seed out of
+    range, an unusable distribution, an unknown model or a subsidy the model
+    cannot take raises InvalidDistribution."""
+
     count: int
     seed: int
     aw_dist: LogNormalSpec
@@ -78,8 +85,24 @@ class PopulationSpec:
     gamma: PreferenceDist
     beta: PreferenceDist
     model: str = "game"
-    regime: str = "high"
     subsidy: float = 0.0
+
+    def __post_init__(self):
+        # An index of 2**32 or more would take two SeedSequence entropy
+        # words, which the batched seeding does not derive.
+        if not (isinstance(self.count, int) and 1 <= self.count < 2**32):
+            raise InvalidDistribution(
+                f"count must be an integer in [1, 2**32), got {self.count!r}")
+        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+            raise InvalidDistribution(f"seed must fit in 64 bits, got {self.seed!r}")
+        for name, dist in (("aw_dist", self.aw_dist), ("am_dist", self.am_dist)):
+            if not (math.isfinite(dist.mu) and math.isfinite(dist.sigma) and dist.sigma >= 0):
+                raise InvalidDistribution(f"{name}: need finite mu and sigma >= 0, got {dist!r}")
+        for name in PREFERENCES:
+            _check_dist(name, getattr(self, name))
+        if self.model not in MODELS:
+            raise InvalidDistribution(f"model must be one of {MODELS}, got {self.model!r}")
+        check_subsidy(self.model, self.subsidy)
 
 
 @dataclass(frozen=True)
@@ -124,27 +147,6 @@ def check_subsidy(model: str, subsidy: float) -> None:
         raise InvalidDistribution(
             "subsidies are only solvable under the transfer game"
         )
-
-
-def validate_spec(spec: PopulationSpec) -> PopulationSpec:
-    # An index of 2**32 or more would take two SeedSequence entropy words,
-    # which the batched seeding does not derive.
-    if not (isinstance(spec.count, int) and 1 <= spec.count < 2**32):
-        raise InvalidDistribution(
-            f"count must be an integer in [1, 2**32), got {spec.count!r}")
-    if not (isinstance(spec.seed, int) and 0 <= spec.seed < 2**64):
-        raise InvalidDistribution(f"seed must fit in 64 bits, got {spec.seed!r}")
-    for name, dist in (("aw_dist", spec.aw_dist), ("am_dist", spec.am_dist)):
-        if not (math.isfinite(dist.mu) and math.isfinite(dist.sigma) and dist.sigma >= 0):
-            raise InvalidDistribution(f"{name}: need finite mu and sigma >= 0, got {dist!r}")
-    for name in PREFERENCES:
-        _check_dist(name, getattr(spec, name))
-    if spec.model not in MODELS:
-        raise InvalidDistribution(f"model must be one of {MODELS}, got {spec.model!r}")
-    if spec.regime not in REGIMES:
-        raise InvalidDistribution(f"regime must be one of {REGIMES}, got {spec.regime!r}")
-    check_subsidy(spec.model, spec.subsidy)
-    return spec
 
 
 def _pcg64_states(seed: int, index: np.ndarray):
@@ -206,8 +208,17 @@ def _rows(columns: tuple) -> list[ModelParams]:
     return [ModelParams(*row) for row in zip(*lists)]
 
 
+def _slices(count: int):
+    """The household indices of each slice, in order."""
+    import numpy as np
+
+    for start in range(0, count, _CHUNK):
+        yield np.arange(start, min(start + _CHUNK, count))
+
+
 def _draw(spec: PopulationSpec, index: np.ndarray) -> tuple:
-    """Draw the households ``index``; each depends only on (seed, index).
+    """Draw the households ``index`` (at most ``_CHUNK`` of them); each
+    depends only on (seed, index).
 
     Raises NonPositiveParameter, as ModelParams does, for the first
     household whose draw is not finite and positive (an income whose
@@ -221,14 +232,12 @@ def _draw(spec: PopulationSpec, index: np.ndarray) -> tuple:
     gen = np.random.Generator(bitgen)
     state = {"state": 0, "inc": 0}
     setting = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-    for start in range(0, len(index), _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        for row, (pcg_state, inc) in zip(raw[chunk], _pcg64_states(spec.seed, index[chunk])):
-            state["state"], state["inc"] = pcg_state, inc
-            bitgen.state = setting
-            gen.standard_normal(out=row[:2])
-            if ranged:
-                gen.random(out=row[2:])
+    for row, (pcg_state, inc) in zip(raw, _pcg64_states(spec.seed, index)):
+        state["state"], state["inc"] = pcg_state, inc
+        bitgen.state = setting
+        gen.standard_normal(out=row[:2])
+        if ranged:
+            gen.random(out=row[2:])
 
     values = {name: float(getattr(spec, name)) for name in PREFERENCES if name not in ranged}
     for j, name in enumerate(ranged, start=2):
@@ -259,10 +268,7 @@ def sample_household(spec: PopulationSpec, index: int) -> ModelParams:
 
 
 def sample_households(spec: PopulationSpec) -> list[ModelParams]:
-    import numpy as np
-
-    validate_spec(spec)
-    return _rows(_draw(spec, np.arange(spec.count)))
+    return [p for index in _slices(spec.count) for p in _rows(_draw(spec, index))]
 
 
 def _solve_household(spec: PopulationSpec, p: ModelParams) -> tuple[float, float | None]:
@@ -272,7 +278,7 @@ def _solve_household(spec: PopulationSpec, p: ModelParams) -> tuple[float, float
     if spec.model == "game":
         eq = solve_game(p, spec.subsidy)
         return eq.n_star, (eq.rho_star if eq.interior else None)
-    eq = solve_extended(p, spec.regime)
+    eq = solve_extended(p, "high")
     return eq.n_star, eq.selected_rho if eq.interior else None
 
 
@@ -307,33 +313,6 @@ def _solve_arrays(spec: PopulationSpec, alpha, delta, gamma, beta, a_w, a_m):
     return n, rho, ok
 
 
-def _solve(spec: PopulationSpec, columns: tuple):
-    """n* and rho* (None for the benchmark model) of every household.
-
-    Solved as arrays, ``_CHUNK`` households at a time, into preallocated
-    arrays. Households the array route leaves out are solved by the scalar
-    route, which raises HouseholdSolveFailure for the first failing one.
-    """
-    import numpy as np
-
-    count = spec.count
-    n = np.empty(count)
-    rho = None if spec.model == "benchmark" else np.empty(count)
-    flagged = []
-    for start in range(0, count, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        n[chunk], rho_chunk, ok = _solve_arrays(
-            spec, *(v if isinstance(v, float) else v[chunk] for v in columns))
-        if rho is not None:
-            rho[chunk] = rho_chunk
-        flagged += (np.flatnonzero(~ok) + start).tolist()
-    for i in flagged:
-        n[i], transfer = _solve_one(spec, _params(columns, i), i)
-        if transfer is not None:
-            rho[i] = transfer
-    return n, rho
-
-
 def _left_sum(values: np.ndarray) -> float:
     """Left-to-right sum, one rounding per addition, which defines every
     mean. ``cumsum`` adds in that order; numpy's ``sum`` adds pairwise, and
@@ -342,21 +321,32 @@ def _left_sum(values: np.ndarray) -> float:
 
 
 def aggregate(spec: PopulationSpec) -> AggregateReport:
-    """Sample, solve and aggregate one population.
+    """Sample, solve and aggregate one population, one slice at a time.
 
     Solver errors propagate wrapped in HouseholdSolveFailure carrying the
-    failing household's index and parameters.
+    failing household's index and parameters; a slice's first failure is
+    raised before the next slice is drawn.
     """
     import numpy as np
 
-    validate_spec(spec)
     count = spec.count
-    columns = _draw(spec, np.arange(count))
-    n, rho = _solve(spec, columns)
+    n, ratios = np.empty(count), np.empty(count)
+    rho = None if spec.model == "benchmark" else np.empty(count)
+    for index in _slices(count):
+        start = int(index[0])
+        chunk = slice(start, start + len(index))
+        columns = _draw(spec, index)
+        n[chunk], rho_chunk, ok = _solve_arrays(spec, *columns)
+        if rho is not None:
+            rho[chunk] = rho_chunk
+        for i in np.flatnonzero(~ok).tolist():
+            n[start + i], transfer = _solve_one(spec, _params(columns, i), start + i)
+            if transfer is not None:
+                rho[start + i] = transfer
+        a_w, a_m = columns[4:]
+        ratios[chunk] = a_w / a_m
     transfers = n[:0] if rho is None else rho[n > 0]
 
-    a_w, a_m = columns[4:]
-    ratios = a_w / a_m
     ranked = n[np.argsort(ratios, kind="stable")]
     # Bucket b holds the ranks with rank*10//count == b.
     bounds = [-(-b * count // 10) for b in range(11)]

@@ -214,6 +214,26 @@ class TestExitCodes:
         assert run_command(
             ["statics", str(SCENARIOS / "extended_anchor.scn")]) == 2
 
+    @pytest.mark.parametrize("command", ["statics", "threshold"])
+    def test_subsidized_game_statics_and_threshold_are_two(self, capsys, command):
+        # Both describe the unsubsidized game; a subsidy would be ignored.
+        assert run_command([command, str(SCENARIOS / "game_subsidized.scn")]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "without a subsidy" in out.err
+
+    @pytest.mark.parametrize("argv", [["solve"], ["population", "--households", "5"]],
+                             ids=["solve", "population"])
+    def test_preference_order_violation_is_two(self, tmp_path, capsys, argv):
+        # alpha < delta breaks the pooled budget in every household.
+        bad = tmp_path / "bad.scn"
+        bad.write_text("model = benchmark\nalpha = 1\ndelta = 2\ngamma = 1\n"
+                       "beta = 1\na_w = 1\na_m = 3\n")
+        assert run_command([argv[0], str(bad), *argv[1:]]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "invalid input" in out.err
+
 
 class TestGoldenFiles:
     @pytest.mark.parametrize("scenario,expected", [

@@ -20,6 +20,7 @@ from fertgames import (
     solve_game,
 )
 from conftest import LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY, UTILITY_OVERFLOW
+from fertgames import population
 from fertgames.extended import leader_optima, leader_optimum
 from fertgames.population import _solve_arrays, _solve_household, sample_household
 
@@ -159,27 +160,35 @@ class TestBatchedSampling:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     @pytest.mark.parametrize("prefs", [FIXED_PREFS, RANGED_PREFS],
                              ids=["fixed", "ranged"])
-    def test_columns_match_default_rng(self, seed, prefs):
+    def test_columns_match_default_rng(self, monkeypatch, seed, prefs):
         spec = PopulationSpec(count=23, seed=seed,
                               aw_dist=LogNormalSpec(0.3, 0.7),
                               am_dist=LogNormalSpec(-0.1, 0.4), **prefs)
-        households = sample_households(spec)
-        for i in (0, 1, spec.count - 1):
-            want = reference_household(spec, i)
-            assert households[i] == want
-            assert sample_household(spec, i) == want
+        # Slices of 8 put the last household in the third slice.
+        for chunk in (population._CHUNK, 8):
+            monkeypatch.setattr(population, "_CHUNK", chunk)
+            households = sample_households(spec)
+            for i in (0, 1, spec.count - 1):
+                want = reference_household(spec, i)
+                assert households[i] == want
+                assert sample_household(spec, i) == want
 
     @pytest.mark.parametrize("model,subsidy", [
         ("benchmark", 0.0), ("game", 0.0), ("extended", 0.0), ("game", 0.5)])
     @pytest.mark.parametrize("count", [1, 7, 137, 3001])
     @pytest.mark.parametrize("prefs", [FIXED_PREFS, RANGED_PREFS],
                              ids=["fixed", "ranged"])
-    def test_aggregate_matches_scalar_loop(self, model, subsidy, count, prefs):
+    def test_aggregate_matches_scalar_loop(self, monkeypatch, model, subsidy,
+                                           count, prefs):
         spec = PopulationSpec(count=count, seed=20251 + count,
                               aw_dist=LogNormalSpec(0.0, 0.6),
                               am_dist=LogNormalSpec(math.log(3.0), 0.5),
                               model=model, subsidy=subsidy, **prefs)
-        assert repr(aggregate(spec)) == repr(reference_aggregate(spec))
+        want = repr(reference_aggregate(spec))
+        # Slices of 64 split 137 and 3001 households across several slices.
+        for chunk in (population._CHUNK, 64):
+            monkeypatch.setattr(population, "_CHUNK", chunk)
+            assert repr(aggregate(spec)) == want
 
     def test_first_invalid_draw_raises_like_validate_params(self):
         # sigma = 500 sends about a third of the incomes to inf or 0.
@@ -195,13 +204,12 @@ class TestBatchedSampling:
         assert (exc.value.field, exc.value.value) == ("a_w", first)
 
     def test_count_of_two_to_the_32_rejected(self):
-        spec = point_spec(1, 1, count=2**32)
         with pytest.raises(InvalidDistribution):
-            sample_households(spec)
+            sample_households(point_spec(1, 1, count=2**32))
         with pytest.raises(InvalidDistribution):
-            aggregate(spec)
+            aggregate(point_spec(1, 1, count=2**32))
         with pytest.raises(InvalidDistribution):
-            sample_household(spec, 2**32)
+            sample_household(point_spec(1, 1, count=2**32 - 1), 2**32)
 
 
 class TestSpecValidation:
@@ -210,11 +218,10 @@ class TestSpecValidation:
             sample_households(point_spec(1, 1, count=0))
 
     def test_rejects_negative_sigma(self):
-        spec = PopulationSpec(count=1, seed=1,
-                              aw_dist=LogNormalSpec(0.0, -0.1), am_dist=POINT,
-                              alpha=1.0, delta=1.0, gamma=1.0, beta=1.0)
         with pytest.raises(InvalidDistribution):
-            sample_households(spec)
+            sample_households(PopulationSpec(
+                count=1, seed=1, aw_dist=LogNormalSpec(0.0, -0.1), am_dist=POINT,
+                alpha=1.0, delta=1.0, gamma=1.0, beta=1.0))
 
     def test_rejects_bad_range(self):
         with pytest.raises(InvalidDistribution):
@@ -309,7 +316,7 @@ class TestAggregate:
         assert bench.mean_fertility == pytest.approx(4 / 3, rel=1e-12)
         assert bench.mean_transfer is None
         ext = aggregate(point_spec(1.0, 3.0, count=2, model="extended",
-                                   alpha=1.0, regime="high"))
+                                   alpha=1.0))
         assert ext.mean_fertility == pytest.approx(0.19806226, abs=1e-6)
         assert ext.mean_transfer == pytest.approx(1.24697960, abs=1e-6)
 
@@ -370,7 +377,7 @@ class TestAggregate:
         assert exc.value.params == sample_household(spec, 0)
         assert repr(exc.value.params) in str(exc.value)
 
-    def test_game_household_failure_carries_first_failing_index(self):
+    def test_game_household_failure_carries_first_failing_index(self, monkeypatch):
         # Incomes near 1e301 with delta/gamma = 1e12: about one household in
         # ten pays a transfer beyond the float range.
         spec = PopulationSpec(count=400, seed=5,
@@ -384,12 +391,16 @@ class TestAggregate:
             except ModelError:
                 failing.append(i)
         assert 0 < failing[0] and len(failing) < spec.count
-        with pytest.raises(HouseholdSolveFailure) as exc:
-            aggregate(spec)
-        assert exc.value.index == failing[0]
-        assert exc.value.params == sample_household(spec, failing[0])
-        assert isinstance(exc.value.__cause__, NumericalFailure)
-        assert repr(exc.value.params) in str(exc.value)
+        # With slices of failing[0] households, the first failure opens the
+        # second slice, so the index reported must be the global one.
+        for chunk in (population._CHUNK, failing[0]):
+            monkeypatch.setattr(population, "_CHUNK", chunk)
+            with pytest.raises(HouseholdSolveFailure) as exc:
+                aggregate(spec)
+            assert exc.value.index == failing[0]
+            assert exc.value.params == sample_household(spec, failing[0])
+            assert isinstance(exc.value.__cause__, NumericalFailure)
+            assert repr(exc.value.params) in str(exc.value)
 
 
 def log_uniform_households(seed, span: float, count: int) -> list:
