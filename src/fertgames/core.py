@@ -97,6 +97,16 @@ def validate_params(raw: ModelParams) -> ModelParams:
     return raw
 
 
+def _record(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass ``cls`` without
+    ``__post_init__``, given every field. Its generated ``__init__`` sets
+    each field with one ``object.__setattr__`` call, which costs a scalar
+    solve more than its allocation; one dict update sets them all."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def check_finite(what: str, *values: float) -> None:
     """Raise NumericalFailure unless every one of ``values`` is finite."""
     if not all(map(math.isfinite, values)):

@@ -36,18 +36,32 @@ half his income, ``a_m - spent`` would cancel, and the first-order identity
 husband's consumption must be normal floats, or the solve raises
 NumericalFailure rather than print lost digits.
 
+The condition is written once, over an operation set ``x``: ``_FLOATS``
+solves one household with floats, ``math`` and C builtins, ``_arrays()`` a
+slice of households with numpy, ``numpy.where`` and libm lane by lane, to
+the same bits. A step that could divide by zero, leave a function's domain
+or overflow runs only under ``if x.any(mask)``: on floats that is the branch
+a scalar solve takes; on arrays the step runs on every lane and
+``x.where(mask, new, old)`` keeps it on the lanes of ``mask``. Each refusal
+clears a lane of one ``ok`` mask, which later steps respect; where ``ok`` is
+false the float entries raise NumericalFailure, and the array entry leaves
+the household to them.
+
 With one admissible root in every model, the cultural regimes "low" and
 "high" (smallest or largest admissible root) coincide.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
+import types
 from dataclasses import dataclass
 from itertools import repeat
 
-from .core import ModelParams, participation, utility_linear_pair
+from .core import ModelParams, _record, participation, utility_linear_pair
 from .errors import NumericalFailure
 
 REGIMES = ("low", "high")
@@ -57,6 +71,9 @@ REGIMES = ("low", "high")
 # zero, a double root.
 _DOUBLE_ROOT_RTOL = 16.0 * 2.0**-52
 _NEWTON_STEPS = 8
+_TINY = sys.float_info.min
+_THIRD = 1.0 / 3.0
+_TURNS = tuple(2.0 * math.pi * j / 3.0 for j in range(3))
 
 
 @dataclass(frozen=True)
@@ -82,6 +99,76 @@ class ExtendedEquilibrium:
     interior: bool
 
 
+def _operations(**ops):
+    # A module object: the interpreter loads a module's attributes as fast
+    # as globals, faster than those of an instance or a class.
+    space = types.ModuleType("operations")
+    vars(space).update(ops)
+    return space
+
+
+def _float_roots(coeffs, e, ok):
+    """The roots of the leader cubic by :func:`real_roots`, scaled by
+    ``2**e``, the largest of them and ``ok``."""
+    roots = tuple([math.ldexp(z, e) for z in real_roots(coeffs)])
+    return roots, roots[-1], ok
+
+
+# larger(a, b) and smaller(a, b) are max(a, b) and min(a, b), on floats and
+# lane by lane on arrays: a, unless b is strictly larger (smaller).
+_FLOATS = _operations(
+    any=operator.truth, where=lambda mask, a, b: a if mask else b, not_=operator.not_,
+    larger=lambda a, b: b if b > a else a, smaller=lambda a, b: b if b < a else a,
+    sort=sorted, sqrt=math.sqrt, copysign=math.copysign, ldexp=math.ldexp,
+    frexp=math.frexp, pow=pow, acos=math.acos, cos=math.cos, log=math.log,
+    log1p=math.log1p, isfinite=math.isfinite, roots=_float_roots)
+
+
+@functools.cache
+def _arrays():
+    """The operations on numpy arrays, made on first use so that a process
+    which only solves single households never imports numpy."""
+    import numpy as np
+
+    def libm(fn, domain=None):
+        # fn lane by lane, so that the result has libm's bits; numpy's own
+        # transcendental kernels may differ from libm in the last ulp. A lane
+        # outside fn's domain gives NaN instead of raising.
+        def apply(v, *args):
+            if domain is not None:
+                v = np.where(domain(v), v, np.nan)
+            return np.fromiter(map(fn, v.tolist(), *map(repeat, args)), float, len(v))
+        return apply
+
+    def where(mask, a, b):
+        if type(a) is tuple:
+            return tuple([np.where(mask, u, v) for u, v in zip(a, b)])
+        return np.where(mask, a, b)
+
+    def roots(coeffs, e, ok):
+        ok = ok & np.logical_and.reduce([np.isfinite(c) for c in coeffs])
+        *zs, exp, ok = _cubic(space, *coeffs, ok)
+        scaled = np.sort(np.ldexp(np.broadcast_arrays(*zs), exp), axis=0)
+        roots = np.ldexp(scaled, e)
+        # sorted() and numpy.sort may order signed zeros differently.
+        ok &= ~(scaled == 0.0).any(axis=0) & ~np.isinf(roots).any(axis=0)
+        return roots, np.fmax.reduce(roots, axis=0), ok  # fmax skips missing roots
+
+    space = _operations(
+        any=np.any, where=where, not_=np.logical_not,
+        larger=lambda a, b: np.where(b > a, b, a), smaller=lambda a, b: np.where(b < a, b, a),
+        sort=lambda v: np.sort(v, axis=0), sqrt=np.sqrt, copysign=np.copysign,
+        ldexp=np.ldexp, frexp=np.frexp, pow=libm(pow), acos=libm(math.acos),
+        cos=libm(math.cos), log=libm(math.log, lambda v: v > 0.0),
+        log1p=libm(math.log1p, lambda v: v > -1.0), isfinite=np.isfinite, roots=roots)
+    return space
+
+
+def _normal(x):
+    """Whether ``x``, a float or an array, is a positive normal float."""
+    return (x >= _TINY) & (x < math.inf)
+
+
 def _leader_cubic(g, alpha, a_w, a_m, k):
     """Coefficients ``(c3, c2, c1, c0)`` of the leader cubic, on floats or
     arrays. For valid parameters ``c3 > 0`` and ``c2 > 0``; ``c0`` has the
@@ -90,19 +177,75 @@ def _leader_cubic(g, alpha, a_w, a_m, k):
             -alpha * k * a_w)
 
 
-def _polish(b: float, c: float, d: float, z: float) -> float:
-    """Newton steps on the monic cubic while they shrink the residual."""
+def _polish(x, b, c, d, z, active):
+    """Newton steps on the monic cubic, on each lane of ``active`` until a
+    step no longer shrinks the residual."""
     fz = ((z + b) * z + c) * z + d
     for _ in range(_NEWTON_STEPS):
         dfz = (3.0 * z + 2.0 * b) * z + c
-        if fz == 0.0 or dfz == 0.0:
+        active = active & (fz != 0.0) & (dfz != 0.0)
+        if not x.any(active):
             break
         nxt = z - fz / dfz
         fn = ((nxt + b) * nxt + c) * nxt + d
-        if not abs(fn) < abs(fz):
+        active = active & (abs(fn) < abs(fz))
+        if not x.any(active):
             break
-        z, fz = nxt, fn
+        z, fz = x.where(active, (nxt, fn), (z, fz))
     return z
+
+
+def _cubic(x, c3, c2, c1, c0, ok):
+    """The roots of :func:`real_roots`, before they are sorted and scaled:
+    ``(z1, z2, z3, exp, ok)`` with the roots in the unit ``2**exp`` and NaN
+    for a missing root. ``ok`` is cleared where the roots lie or spread
+    beyond the floating-point range."""
+    bound = x.larger(x.larger(abs(c2 / c3), x.sqrt(abs(c1)) / x.sqrt(abs(c3))),
+                     x.pow(abs(c0), _THIRD) / x.pow(abs(c3), _THIRD))
+    # Exact power-of-two scaling, in an order that keeps intermediates finite
+    # once the scaled leading coefficient is.
+    exp = x.frexp(bound)[1]
+    lead = x.ldexp(c3, exp)
+    b = c2 / lead
+    c = x.ldexp(c1, -exp) / lead
+    d = x.ldexp(x.ldexp(c0, -exp) / lead, -exp)
+    ok = ok & (bound < math.inf) & (abs(lead) < math.inf) & ((c0 == 0.0) | (abs(d) >= _TINY))
+
+    shift = b / 3.0
+    p3 = (c - b * shift) / 3.0
+    h = 0.5 * ((2.0 * shift * shift - c) * shift + d)
+    disc = h * h + p3 * p3 * p3
+    one = ok & (disc > 0.0)
+    three = ok & (disc <= 0.0) & (p3 < 0.0)
+    y = 0.0
+    if x.any(one):
+        a = -x.copysign(x.pow(abs(h) + x.sqrt(disc), _THIRD), h)
+        y = x.where(one, a - p3 / a, y)
+    if x.any(three):
+        m = x.sqrt(-p3)
+        theta = x.acos(x.larger(-1.0, x.smaller(1.0, -h / (m * m * m)))) / 3.0
+        lo, mid, hi = x.sort([2.0 * m * x.cos(theta - turn) for turn in _TURNS])
+        y = x.where(three, x.where(mid - lo > hi - mid, lo, hi), y)
+    z1 = _polish(x, b, c, d, y - shift, ok)
+
+    # z**2 + e*z + f is the scaled cubic divided by (z - z1). Of the two
+    # expressions for e, the one with the smaller rounding error is taken.
+    nonzero = z1 != 0.0
+    f = x.where(nonzero, -d / z1, c) if x.any(nonzero) else c
+    e = b + z1
+    wide = abs(z1) * x.larger(abs(b), abs(z1)) > x.larger(abs(c), abs(f))
+    if x.any(wide):
+        e = x.where(wide, (f - c) / z1, e)
+    disc = e * e - 4.0 * f
+    tol = _DOUBLE_ROOT_RTOL * (e * e + 4.0 * abs(f))
+    two = disc > tol
+    z2 = x.where(disc >= -tol, -0.5 * e, math.nan)
+    z3 = math.nan
+    if x.any(two):
+        q = -0.5 * (e + x.copysign(x.sqrt(disc), e))
+        z2, z3 = x.where(two, (_polish(x, b, c, d, q, ok & two),
+                               _polish(x, b, c, d, f / q, ok & two)), (z2, z3))
+    return z1, z2, z3, exp, ok
 
 
 def real_roots(coeffs: tuple[float, float, float, float]) -> tuple[float, ...]:
@@ -125,124 +268,128 @@ def real_roots(coeffs: tuple[float, float, float, float]) -> tuple[float, ...]:
     Raises NumericalFailure when a coefficient is not finite, or when the
     roots lie or spread beyond the floating-point range.
     """
-    c3, c2, c1, c0 = coeffs
     if not all(map(math.isfinite, coeffs)):
         raise NumericalFailure(f"cubic coefficients {coeffs!r} are not finite")
+    c3, c2, c1, c0 = coeffs
     if c3 == 0.0:
         raise ValueError("leading coefficient must be nonzero")
-    bound = max(
-        abs(c2 / c3),
-        math.sqrt(abs(c1)) / math.sqrt(abs(c3)),
-        abs(c0) ** (1.0 / 3.0) / abs(c3) ** (1.0 / 3.0),
-    )
-    if bound == 0.0:
+    if c2 / c3 == c1 == c0 == 0.0:  # the root bound is zero
         return (0.0,)
-    if not math.isfinite(bound):
-        raise NumericalFailure(
-            f"roots of the cubic {coeffs!r} exceed the floating-point range"
-        )
-    # Exact power-of-two scaling, in an order that keeps intermediates finite
-    # once the scaled leading coefficient is.
-    exp = math.frexp(bound)[1]
     try:
-        lead = math.ldexp(c3, exp)
-    except OverflowError:
-        raise NumericalFailure(
-            f"roots of the cubic {coeffs!r} span more than the floating-point range"
-        ) from None
-    b = c2 / lead
-    c = math.ldexp(c1, -exp) / lead
-    d = math.ldexp(math.ldexp(c0, -exp) / lead, -exp)
-    if c0 != 0.0 and abs(d) < sys.float_info.min:
-        raise NumericalFailure(
-            f"roots of the cubic {coeffs!r} span more than the floating-point range"
-        )
-
-    shift = b / 3.0
-    p3 = (c - b * shift) / 3.0
-    h = 0.5 * ((2.0 * shift * shift - c) * shift + d)
-    disc = h * h + p3 * p3 * p3
-    if disc > 0.0:
-        a = -math.copysign((abs(h) + math.sqrt(disc)) ** (1.0 / 3.0), h)
-        y = a - p3 / a
-    elif p3 < 0.0:
-        m = math.sqrt(-p3)
-        theta = math.acos(max(-1.0, min(1.0, -h / (m * m * m)))) / 3.0
-        lo, mid, hi = sorted(2.0 * m * math.cos(theta - 2.0 * math.pi * j / 3.0)
-                             for j in range(3))
-        y = lo if mid - lo > hi - mid else hi
-    else:
-        y = 0.0
-    z1 = _polish(b, c, d, y - shift)
-
-    # z**2 + e*z + f is the scaled cubic divided by (z - z1). Of the two
-    # expressions for e, the one with the smaller rounding error is taken.
-    f = -d / z1 if z1 != 0.0 else c
-    e = b + z1
-    if abs(z1) * max(abs(b), abs(z1)) > max(abs(c), abs(f)):
-        e = (f - c) / z1
-    disc = e * e - 4.0 * f
-    tol = _DOUBLE_ROOT_RTOL * (e * e + 4.0 * abs(f))
-    if disc > tol:
-        q = -0.5 * (e + math.copysign(math.sqrt(disc), e))
-        zs = [z1, _polish(b, c, d, q), _polish(b, c, d, f / q)]
-    elif disc >= -tol:
-        zs = [z1, -0.5 * e]
-    else:
-        zs = [z1]
-    return tuple(sorted(math.ldexp(z, exp) for z in zs))
+        z1, z2, z3, exp, ok = _cubic(_FLOATS, c3, c2, c1, c0, True)
+    except OverflowError:  # the scaled leading coefficient
+        ok = False
+    if not ok:
+        raise NumericalFailure(f"roots of the cubic {coeffs!r} lie or spread beyond the "
+                               "floating-point range")
+    return tuple(sorted([math.ldexp(z, exp) for z in (z1, z2, z3) if z == z]))
 
 
-def transfer_root(alpha, delta, gamma, a_w, a_m, sqrt):
-    """Positive root of the husband's first-order quadratic, unscaled, and
-    whether it keeps its digits.
-
-    Evaluated in the cancellation-free form ``q / (alpha*a_w/2 + sqrt(X))``
-    with ``q = (alpha*delta/gamma)*a_w*(a_w + a_m)`` and
-    ``X = (alpha*a_w/2)**2 + q``, which is exact even when the two terms of
-    the textbook expression ``-alpha*a_w/2 + sqrt(X)`` nearly cancel. Runs
-    on floats with ``math.sqrt`` and on numpy arrays with ``numpy.sqrt``.
-
-    The flag (a bool or boolean array) holds where ``a_w``, ``alpha*delta``,
-    ``q`` and the root are normal floats, so the root keeps its digits; a
-    subnormal ``alpha*a_w/2`` or its square is then negligible.
-    """
-    ad = alpha * delta
-    half = 0.5 * alpha * a_w
-    q = ad / gamma * a_w * (a_w + a_m)
-    root = q / (half + sqrt(half * half + q))
-    tiny = sys.float_info.min
-    return root, (a_w >= tiny) & (ad >= tiny) & (q >= 2.0 * tiny) & (root >= tiny)
+def _units(x, a_w, a_m):
+    e = x.frexp(x.larger(a_m, a_w))[1]
+    return e, x.ldexp(a_w, -e), x.ldexp(a_m, -e)
 
 
 def income_units(p: ModelParams) -> tuple[int, float, float]:
     """``(e, a_w*2**-e, a_m*2**-e)``: the power of two ``2**e`` that brings the
     larger income into [0.5, 1), and both incomes in that unit (exact unless
     the smaller one falls below the normal range)."""
-    _, e = math.frexp(p.a_w if p.a_w > p.a_m else p.a_m)
-    return e, math.ldexp(p.a_w, -e), math.ldexp(p.a_m, -e)
+    return _units(_FLOATS, p.a_w, p.a_m)
 
 
-def equilibrium_transfer(p: ModelParams) -> float:
-    """Positive root of the husband's first-order quadratic without a
-    subsidy, ``rho**2 + alpha*a_w*rho - (alpha*delta/gamma)*a_w*(a_w + a_m)``.
+def transfer_root(x, alpha, delta, gamma, a_w, a_m):
+    """``(rho, ok)``: the positive root of the husband's first-order quadratic
+    without a subsidy, ``rho**2 + alpha*a_w*rho - q`` with
+    ``q = (alpha*delta/gamma)*a_w*(a_w + a_m)``.
 
     The root is homogeneous of degree one in incomes, so it is computed in
     the units of :func:`income_units` and scaled back: exact in binary, and
-    ``q`` no longer overflows near 1e300 or underflows near 1e-300. Raises
-    NumericalFailure where the transfer, or a term it is computed from, is
-    not a normal float, so that its digits would be lost.
+    ``q`` neither overflows near 1e300 nor underflows near 1e-300. It is
+    evaluated in the cancellation-free form ``q / (alpha*a_w/2 + sqrt(X))``,
+    ``X = (alpha*a_w/2)**2 + q``, exact even where the two terms of the
+    textbook ``-alpha*a_w/2 + sqrt(X)`` nearly cancel. ``ok`` holds where
+    ``a_w``, ``alpha*delta``, ``q`` and the root are normal floats, in income
+    units and scaled back, so the root keeps its digits; a subnormal
+    ``alpha*a_w/2`` or its square is then negligible.
     """
-    e, a_w, a_m = income_units(p)
+    e, a_w, a_m = _units(x, a_w, a_m)
+    ad = alpha * delta
+    half = 0.5 * alpha * a_w
+    q = ad / gamma * a_w * (a_w + a_m)
+    root = q / (half + x.sqrt(half * half + q))
+    rho = x.ldexp(root, e)
+    return rho, ((a_w >= _TINY) & (ad >= _TINY) & (q >= 2.0 * _TINY) & (root >= _TINY)
+                 & _normal(rho))
+
+
+def equilibrium_transfer(p: ModelParams) -> float:
+    """The transfer of :func:`transfer_root`. Raises NumericalFailure where
+    it, or a term it is computed from, is not a normal float, so that its
+    digits would be lost."""
     try:
-        root, accurate = transfer_root(p.alpha, p.delta, p.gamma, a_w, a_m, math.sqrt)
-        rho = math.ldexp(root, e)
+        rho, ok = transfer_root(_FLOATS, p.alpha, p.delta, p.gamma, p.a_w, p.a_m)
     except (ZeroDivisionError, OverflowError):
-        accurate = False
-    if not (accurate and rho >= sys.float_info.min):
+        ok = False
+    if not ok:
         raise NumericalFailure(
             f"the transfer at incomes {p.a_w!r} and {p.a_m!r} leaves the normal float range")
     return rho
+
+
+def _leader(x, alpha, delta, gamma, a_w, a_m, paid, subsidy):
+    """``(roots, rho, n, c_w, c_m, ok)`` of :func:`leader_optimum`, with
+    ``rho`` NaN at the no-birth corner; ``subsidy`` is one float."""
+    g = gamma / delta
+    k = paid - subsidy
+    zero, cubic = k == 0.0, k != 0.0
+    roots, r, ok = (), math.nan, True
+    if x.any(zero):
+        r, ok = transfer_root(x, alpha, delta, gamma, a_w, a_m)
+        ok = ok | cubic
+        roots = (r,)
+    if x.any(cubic):
+        ratio = a_w / a_m
+        e, aw_e, am_e = _units(x, a_w, a_m)
+        coeffs = _leader_cubic(g, alpha, aw_e, am_e, x.ldexp(k, -e))
+        cubic_ok = ((ratio > 0.0) & (ratio < math.inf)
+                    & (coeffs[0] != 0.0) & (coeffs[3] != 0.0))
+        if x.any(cubic_ok):
+            roots, largest, cubic_ok = x.roots(coeffs, e, cubic_ok)
+            r = x.where(zero, r, largest)
+        ok = ok & (zero | cubic_ok)
+
+    found = r > subsidy  # where he pays at the root; narrowed to where the root wins
+    n = c_m = u = 0.0
+    if x.any(found):
+        ok = ok & ((r <= subsidy) | _normal(r - subsidy))
+        n = g - a_w / r
+        spent = (r + k) * n
+        head = spent < 0.5 * a_m
+        c_m = x.where(head, a_m - spent, (g * (r / a_w) * r + k) / alpha)
+        found = found & (n > 0.0)
+        if subsidy > 0.0:
+            # His utility measured from the corner, ln(c_m/a_m) + alpha*n.
+            found = found & (c_m > 0.0)
+            lanes = found & head
+            if x.any(lanes):
+                u = x.where(lanes, x.log1p(-spent / a_m), u)
+            lanes = found & x.not_(head)
+            if x.any(lanes):
+                u = x.where(lanes, x.log(c_m) - x.log(a_m), u)
+            u = u + alpha * n
+            found = found & (u > 0.0)
+    if subsidy > 0.0:
+        # At the boundary rho = 0 he pays nothing and keeps a_m.
+        n_edge = g - a_w / subsidy
+        edge = (n_edge > 0.0) & (alpha * n_edge > x.where(found, u, 0.0))
+        found = found | edge
+        r, n, c_m = x.where(edge, (subsidy, n_edge, a_m), (r, n, c_m))
+
+    n, rho, c_w, c_m = x.where(found, (n, r - subsidy, a_w + r * n, c_m),
+                               (0.0, math.nan, a_w, a_m))
+    # A paid transfer needs a normal c_m; the wife's c_w must be finite.
+    ok = ok & (x.not_(rho > 0.0) | _normal(c_m)) & x.isfinite(c_w)
+    return roots, rho, n, c_w, c_m, ok
 
 
 def leader_optimum(
@@ -254,161 +401,25 @@ def leader_optimum(
     Returns the real roots of the leader cubic in ``r`` (at ``k = 0`` only
     the positive root of its quadratic factor), the transfer ``rho`` (None
     at the no-birth corner), fertility and both consumptions. Raises
-    NumericalFailure where a root, a paid transfer, the husband's
-    consumption or the wife's leaves the floating-point range.
+    NumericalFailure where the income ratio, a coefficient or a root of the
+    cubic, a paid transfer, the husband's consumption or the wife's leaves
+    the floating-point range.
     """
-    g = p.gamma / p.delta
-    k = paid - subsidy
-    if k == 0.0:
-        roots = (equilibrium_transfer(p),)
-    else:
-        p.income_ratio  # raises where the ratio leaves the float range
-        e, a_w, a_m = income_units(p)
-        try:
-            coeffs = _leader_cubic(g, p.alpha, a_w, a_m, math.ldexp(k, -e))
-            if coeffs[0] == 0.0 or coeffs[3] == 0.0:
-                raise NumericalFailure(f"leader cubic {coeffs!r} underflows")
-            roots = tuple(math.ldexp(x, e) for x in real_roots(coeffs))
-        except OverflowError:
-            raise NumericalFailure(f"the leader cubic at {p!r} leaves the float range") from None
-    r = roots[-1]
-    best = None  # (u, r, n, c_m) of the winning candidate; None at the corner
-    if r > subsidy:
-        if not _normal(r - subsidy):
-            raise NumericalFailure(f"the transfer {r - subsidy!r} is not a normal float")
-        n = g - p.a_w / r
-        spent = (r + k) * n
-        c_m = p.a_m - spent
-        if not spent < 0.5 * p.a_m:
-            c_m = (g * (r / p.a_w) * r + k) / p.alpha
-        if subsidy == 0.0:
-            if n > 0.0:
-                best = 0.0, r, n, c_m
-        elif n > 0.0 and c_m > 0.0:
-            # His utility measured from the corner, ln(c_m/a_m) + alpha*n.
-            u = (math.log1p(-spent / p.a_m) if spent < 0.5 * p.a_m
-                 else math.log(c_m) - math.log(p.a_m)) + p.alpha * n
-            if u > 0.0:
-                best = u, r, n, c_m
-    if subsidy > 0.0:
-        # At the boundary rho = 0 he pays nothing and keeps a_m.
-        n = g - p.a_w / subsidy
-        if n > 0.0 and p.alpha * n > (0.0 if best is None else best[0]):
-            best = p.alpha * n, subsidy, n, p.a_m
-
-    if best is None:
-        return roots, None, 0.0, p.a_w, p.a_m
-    _, r, n, c_m = best
-    rho, c_w = r - subsidy, p.a_w + r * n
-    if rho > 0.0 and not _normal(c_m):
-        raise NumericalFailure(f"the husband's consumption {c_m!r} is not a normal float")
-    if not math.isfinite(c_w):
-        raise NumericalFailure(f"wife's consumption {c_w!r} is not finite")
-    return roots, rho, n, c_w, c_m
-
-
-def _normal(x):
-    """Whether ``x``, a float or an array, is a positive normal float."""
-    return (x >= sys.float_info.min) & (x < math.inf)
-
-
-def _libm(fn, x, *args):
-    """``fn`` applied element by element to the array ``x``, so that the
-    result has libm's bits; numpy's own transcendental kernels may differ
-    from libm in the last ulp."""
-    import numpy as np
-
-    return np.fromiter(map(fn, x.tolist(), *args), float, len(x))
-
-
-def _polish_arrays(b, c, d, z, active):
-    """:func:`_polish` on the lanes ``active``; a lane stops for good where
-    the scalar loop breaks."""
-    import numpy as np
-
-    fz = ((z + b) * z + c) * z + d
-    for _ in range(_NEWTON_STEPS):
-        dfz = (3.0 * z + 2.0 * b) * z + c
-        active = active & (fz != 0.0) & (dfz != 0.0)
-        if not active.any():
-            break
-        nxt = z - fz / dfz
-        fn = ((nxt + b) * nxt + c) * nxt + d
-        active &= np.abs(fn) < np.abs(fz)
-        z = np.where(active, nxt, z)
-        fz = np.where(active, fn, fz)
-    return z
-
-
-def _real_roots_arrays(c3, c2, c1, c0):
-    """:func:`real_roots` over arrays of cubics, to the same bits.
-
-    Returns the roots as three rows, each column ascending with NaN for a
-    missing root, and the mask of cubics solved here. A cubic is left to the
-    scalar route where that raises, where a root is 0 (``sorted`` and
-    ``numpy.sort`` may order signed zeros differently) and where a root is
-    not finite.
-    """
-    import numpy as np
-
-    third = 1.0 / 3.0
-    bound = np.abs(c2 / c3)
-    for term in (np.sqrt(np.abs(c1)) / np.sqrt(np.abs(c3)),
-                 _libm(pow, np.abs(c0), repeat(third))
-                 / _libm(pow, np.abs(c3), repeat(third))):
-        bound = np.where(term > bound, term, bound)  # max() keeps the first
-    ok = (np.isfinite(c3) & np.isfinite(c2) & np.isfinite(c1) & np.isfinite(c0)
-          & np.isfinite(bound) & (bound != 0.0))
-    exp = np.frexp(bound)[1]
-    lead = np.ldexp(c3, exp)
-    b = c2 / lead
-    c = np.ldexp(c1, -exp) / lead
-    d = np.ldexp(np.ldexp(c0, -exp) / lead, -exp)
-    ok &= np.isfinite(lead) & (np.abs(d) >= sys.float_info.min)
-
-    shift = b / 3.0
-    p3 = (c - b * shift) / 3.0
-    h = 0.5 * ((2.0 * shift * shift - c) * shift + d)
-    disc = h * h + p3 * p3 * p3
-    y = np.zeros_like(b)
-    one = ok & (disc > 0.0)
-    h1 = h[one]
-    a = -np.copysign(_libm(pow, np.abs(h1) + np.sqrt(disc[one]), repeat(third)), h1)
-    y[one] = a - p3[one] / a
-    three = ok & ~(disc > 0.0) & (p3 < 0.0)
-    m = np.sqrt(-p3[three])
-    cosine = -h[three] / (m * m * m)
-    cosine = np.where(cosine < 1.0, cosine, 1.0)  # min(1.0, cosine)
-    cosine = np.where(cosine > -1.0, cosine, -1.0)  # max(-1.0, cosine)
-    theta = _libm(math.acos, cosine) / 3.0
-    lo, mid, hi = np.sort([2.0 * m * _libm(math.cos, theta - 2.0 * math.pi * j / 3.0)
-                           for j in range(3)], axis=0)
-    y[three] = np.where(mid - lo > hi - mid, lo, hi)
-    z1 = _polish_arrays(b, c, d, y - shift, ok)
-
-    f = np.where(z1 != 0.0, -d / z1, c)
-    e = b + z1
-    az, ab, ac, af = np.abs(z1), np.abs(b), np.abs(c), np.abs(f)
-    wide = az * np.where(az > ab, az, ab) > np.where(af > ac, af, ac)
-    e = np.where(wide, (f - c) / z1, e)
-    disc = e * e - 4.0 * f
-    tol = _DOUBLE_ROOT_RTOL * (e * e + 4.0 * np.abs(f))
-    two = disc > tol
-    q = -0.5 * (e + np.copysign(np.sqrt(disc), e))
-    z2 = np.where(two, _polish_arrays(b, c, d, q, ok & two),
-                  np.where(disc >= -tol, -0.5 * e, np.nan))
-    z3 = np.where(two, _polish_arrays(b, c, d, f / q, ok & two), np.nan)
-    roots = np.sort(np.ldexp([z1, z2, z3], exp), axis=0)
-    ok &= ~(roots == 0.0).any(axis=0) & ~np.isinf(roots).any(axis=0)
-    return roots, ok
+    try:
+        roots, rho, n, c_w, c_m, ok = _leader(
+            _FLOATS, p.alpha, p.delta, p.gamma, p.a_w, p.a_m, paid, subsidy)
+    except (ZeroDivisionError, OverflowError):
+        ok = False
+    if not ok:
+        raise NumericalFailure(f"the leader optimum at {p!r} (paid {paid!r}, subsidy "
+                               f"{subsidy!r}) leaves the normal float range")
+    return roots, (rho if rho == rho else None), n, c_w, c_m
 
 
 def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
     """:func:`leader_optimum` over arrays of households, to the same bits.
 
-    Every basic operation runs in the scalar route's order, and ``**``,
-    ``acos``, ``cos``, ``log`` and ``log1p`` are ``math``'s. The arguments
-    are arrays or floats; ``subsidy`` is one float. Returns
+    The arguments are arrays or floats; ``subsidy`` is one float. Returns
     ``(n, rho, c_w, c_m, ok)`` with ``rho`` NaN at the no-birth corner.
     Households outside ``ok`` are those the scalar route refuses, or whose
     utilities (:func:`~fertgames.core.utility_linear_pair`) are not finite;
@@ -416,56 +427,11 @@ def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
     """
     import numpy as np
 
-    alpha, delta, gamma, a_w, a_m, paid = np.broadcast_arrays(
-        alpha, delta, gamma, a_w, a_m, paid)
+    columns = np.broadcast_arrays(alpha, delta, gamma, a_w, a_m, paid)
+    alpha, delta, gamma = columns[:3]
     with np.errstate(all="ignore"):
-        g = gamma / delta
-        k = paid - subsidy
-        e = np.frexp(np.maximum(a_w, a_m))[1]
-        aw_e, am_e = np.ldexp(a_w, -e), np.ldexp(a_m, -e)
-        zero = k == 0.0
-        if zero.any():
-            root, ok = transfer_root(alpha, delta, gamma, aw_e, am_e, np.sqrt)
-            r = np.ldexp(root, e)
-            ok = ok & _normal(r)
-        if not zero.all():
-            c3, c2, c1, c0 = _leader_cubic(g, alpha, aw_e, am_e, np.ldexp(k, -e))
-            roots, cubic_ok = _real_roots_arrays(c3, c2, c1, c0)
-            roots = np.ldexp(roots, e)
-            ratio = a_w / a_m
-            cubic_ok &= ((ratio > 0.0) & (ratio < math.inf) & (c3 != 0.0) & (c0 != 0.0)
-                         & ~np.isinf(roots).any(axis=0))
-            largest = np.fmax.reduce(roots, axis=0)  # the last root that is not NaN
-            r = np.where(zero, r, largest) if zero.any() else largest
-            ok = np.where(zero, ok, cubic_ok) if zero.any() else cubic_ok
-
-        paying = r > subsidy
-        ok &= ~paying | _normal(r - subsidy)
-        n = g - a_w / r
-        spent = (r + k) * n
-        head = spent < 0.5 * a_m
-        c_m = np.where(head, a_m - spent, (g * (r / a_w) * r + k) / alpha)
-        found = paying & (n > 0.0)
-        if subsidy > 0.0:
-            found &= c_m > 0.0
-            u = np.zeros_like(g)
-            lanes = found & head
-            u[lanes] = _libm(math.log1p, -spent[lanes] / a_m[lanes])
-            lanes = found & ~head
-            u[lanes] = _libm(math.log, c_m[lanes]) - _libm(math.log, a_m[lanes])
-            found &= u + alpha * n > 0.0
-            n_edge = g - a_w / subsidy
-            edge = (n_edge > 0.0) & (alpha * n_edge > np.where(found, u + alpha * n, 0.0))
-            found |= edge
-            r = np.where(edge, subsidy, r)
-            n = np.where(edge, n_edge, n)
-            c_m = np.where(edge, a_m, c_m)
-        n = np.where(found, n, 0.0)
-        rho = np.where(found, r - subsidy, np.nan)
-        c_m = np.where(found, c_m, a_m)
-        c_w = np.where(found, a_w + r * n, a_w)
-        ok &= ~(rho > 0.0) | _normal(c_m)
-        ok &= (np.isfinite(c_w) & np.isfinite(gamma * np.log(c_w) - delta * n)
+        _, rho, n, c_w, c_m, ok = _leader(_arrays(), *columns, subsidy)
+        ok &= (np.isfinite(gamma * np.log(c_w) - delta * n)
                & np.isfinite(np.log(c_m) + alpha * n))
     return n, rho, c_w, c_m, ok
 
@@ -485,7 +451,8 @@ def solve_extended(p: ModelParams, regime: str) -> ExtendedEquilibrium:
 
     u_w, u_m = utility_linear_pair(p, c_w, c_m, n)
     wife, husband = participation(p, u_w, u_m)
-    return ExtendedEquilibrium(
+    return _record(
+        ExtendedEquilibrium,
         real_roots=roots,
         positive_roots=tuple(r for r in roots if r > 0.0),
         selected_rho=rho,

@@ -26,10 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ModelParams, participation, utility_linear_pair
+from .core import ModelParams, _record, participation, utility_linear_pair
 from .errors import NonPositiveParameter, NonPositiveTransfer, NumericalFailure
-# equilibrium_transfer, income_units and transfer_root are re-exported.
-from .extended import equilibrium_transfer, income_units, leader_optimum, transfer_root
+# equilibrium_transfer is re-exported.
+from .extended import equilibrium_transfer, leader_optimum
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,8 @@ def solve_game(p: ModelParams, subsidy: float = 0.0) -> GameEquilibrium:
         rho = 0.0 if subsidy > 0 else roots[-1]
     u_w, u_m = utility_linear_pair(p, c_w, c_m, n)
     wife, husband = participation(p, u_w, u_m)
-    return GameEquilibrium(
+    return _record(
+        GameEquilibrium,
         rho_star=rho,
         n_star=n,
         c_w=c_w,

@@ -13,14 +13,14 @@ PCG64 seeding, and sets each state on one reused generator.
 A population is walked once, in slices of ``_CHUNK`` households: each
 slice is drawn, solved and reduced to its fertility, transfer and income
 ratio before the next is drawn, so no draw outlives its slice. Every model
-is solved as array expressions over a slice, in the operation order of its
-scalar solver, so every n* and rho* is bit-identical to a scalar solve: the
-pooled budget, and the leader condition of :mod:`fertgames.extended` that the
-transfer game, with or without a subsidy, shares with the extended model,
-whose few transcendental functions are libm's, applied element by element. Each check of the scalar route
-(positive parameters, preference order, transfer, cubic range, consumption
-range, utility range) is an array mask; a household that fails one is handed
-to the scalar route, which raises the same error. A positive subsidy is
+is solved over a slice at once, so that every n* and rho* is bit-identical
+to a scalar solve: the pooled budget as array expressions in the scalar
+operation order, and the leader condition that the transfer game, with or
+without a subsidy, shares with the extended model by the one body of
+:mod:`fertgames.extended` that also solves a single household. Each check of
+the scalar route (positive parameters, preference order, transfer, cubic
+range, consumption range, utility range) is an array mask; a household that
+fails one is handed to the scalar route, which raises the same error. A positive subsidy is
 solvable under the transfer game only. It is funded from general revenue: it
 raises the wife's effective per-child receipt without touching either
 spouse's budget.
@@ -292,10 +292,11 @@ def _solve_one(spec: PopulationSpec, p: ModelParams, index: int) -> tuple[float,
 def _solve_arrays(spec: PopulationSpec, alpha, delta, gamma, beta, a_w, a_m):
     """``(n, rho, ok)`` of a slice of households solved as arrays.
 
-    ``benchmark_solve`` and ``leader_optimum`` run as array expressions in
-    their scalar operation order, so every n* and rho* (None for the
-    benchmark model) has the scalar route's bits. Households outside ``ok``
-    are those a check of the scalar route would reject.
+    ``benchmark_solve`` runs as array expressions in its scalar operation
+    order, and the leader games run the body of ``leader_optimum`` on arrays,
+    so every n* and rho* (None for the benchmark model) has the scalar
+    route's bits. Households outside ``ok`` are those a check of the scalar
+    route would reject.
     """
     import numpy as np
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fertgames import extended
 from fertgames import (
     ModelParams,
     equilibrium_transfer,
@@ -155,6 +156,29 @@ class TestRootIsolation:
             assert len(mine) == len(ref)
             for a, b in zip(mine, ref):
                 assert abs(a - b) < 1e-7 * max(1.0, abs(b))
+
+    def test_array_route_gives_the_same_bits(self, rng):
+        # Three distinct roots, a double root, one real root, and the general
+        # normal cubics of test_matches_numpy_roots, solved as one array.
+        cubics = [(1.0, 1.0, -2.0, -1.0), (1.0, -6.0, 11.0, -6.0),
+                  (1.0, -5.0, 7.0, -3.0), (1.0, 0.0, 0.0, -8.0)]
+        for _ in range(300):
+            coeffs = [float(rng.normal()) for _ in range(4)]
+            if abs(coeffs[0]) < 1e-3:
+                coeffs[0] = 1.0
+            cubics.append(tuple(coeffs))
+        assert any(c[0] < 0.0 for c in cubics)
+        columns = tuple(np.array(cubics).T)
+        with np.errstate(all="ignore"):  # as in leader_optima: every lane runs every step
+            roots, largest, ok = extended._arrays().roots(columns, 0, True)
+        assert ok.all()
+        counts = []
+        for j, coeffs in enumerate(cubics):
+            want = real_roots(coeffs)
+            counts.append(len(want))
+            assert repr(tuple(roots[:len(want), j].tolist())) == repr(want)
+            assert np.isnan(roots[len(want):, j]).all() and largest[j] == want[-1]
+        assert counts[:4] == [3, 3, 2, 1] and {1, 3} <= set(counts[4:])
 
     def test_model_cubic_has_exactly_one_positive_root(self, rng):
         for _ in range(1000):

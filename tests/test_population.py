@@ -547,3 +547,31 @@ def test_array_route_answers_only_what_scalar_route_answers(model, subsidy):
         except ModelError:
             refused.append(i)
     assert ok.any() and refused == []
+
+
+@pytest.mark.parametrize("model,subsidy", [("game", 0.0), ("extended", 0.0), ("game", 0.5)])
+def test_aggregate_answers_households_the_array_route_leaves(monkeypatch, model, subsidy):
+    # Slices of 64: households 3 and 17 sit in the first slice, 200 and 250
+    # at lanes 8 and 58 of the fourth.
+    spec = PopulationSpec(count=300, seed=5, aw_dist=LogNormalSpec(0.0, 0.6),
+                          am_dist=LogNormalSpec(math.log(3.0), 0.5), model=model,
+                          subsidy=subsidy, **RANGED_PREFS)
+    left = {0: [3, 17], 3: [8, 58]}
+    assert all(_solve_household(spec, sample_household(spec, i))[0] > 0.0
+               for i in (3, 17, 200, 250))
+    monkeypatch.setattr(population, "_CHUNK", 64)
+    want = repr(aggregate(spec))
+    solve_arrays, slices = population._solve_arrays, []
+
+    def leaving(spec, *columns):
+        # The array route leaves these lanes to the scalar route, with NaN
+        # where it would have written n and rho.
+        n, rho, ok = solve_arrays(spec, *columns)
+        lanes = left.get(len(slices), [])
+        slices.append(lanes)
+        n[lanes], rho[lanes], ok[lanes] = math.nan, math.nan, False
+        return n, rho, ok
+
+    monkeypatch.setattr(population, "_solve_arrays", leaving)
+    assert repr(aggregate(spec)) == want
+    assert len(slices) == 5
