@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -28,7 +27,7 @@ from .errors import (
     ScenarioError,
     UnknownKey,
 )
-from .extended import REGIMES, solve_extended
+from .extended import solve_extended
 from .game import fertility_threshold, solve_game
 from .population import (
     MODELS,
@@ -40,10 +39,8 @@ from .population import (
 )
 from .svg import line_chart
 
-OUTPUT_DIR_ENV = "FERTGAMES_OUTDIR"
-
 _NUMERIC_KEYS = PARAM_NAMES + ("subsidy",)
-_KNOWN_KEYS = ("model",) + _NUMERIC_KEYS + ("regime", "seed")
+_KNOWN_KEYS = ("model",) + _NUMERIC_KEYS
 
 # Keys that must be present per model. beta never enters the transfer game
 # (rearing costs are folded into the transfer there), so game scenarios may
@@ -51,7 +48,7 @@ _KNOWN_KEYS = ("model",) + _NUMERIC_KEYS + ("regime", "seed")
 _REQUIRED_KEYS = {
     "benchmark": PARAM_NAMES,
     "game": ("alpha", "delta", "gamma", "a_w", "a_m"),
-    "extended": PARAM_NAMES + ("regime",),
+    "extended": PARAM_NAMES,
 }
 
 _INERT_GAME_BETA = 1.0
@@ -67,9 +64,7 @@ _N_STAR = SOLVE_HEADER.split(",").index("n_star")
 class ScenarioConfig:
     model: str
     params: ModelParams
-    regime: str | None
     subsidy: float
-    seed: int | None
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -92,8 +87,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raw[key] = value
         if key == "model" and value not in MODELS:
             raise ParseError(line_no, f"model must be one of {MODELS}, got {value!r}")
-        if key == "regime" and value not in REGIMES:
-            raise ParseError(line_no, f"regime must be one of {REGIMES}, got {value!r}")
         if key in _NUMERIC_KEYS:
             try:
                 parsed = float(value)
@@ -101,11 +94,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 raise ParseError(line_no, f"{key} must be a number, got {value!r}") from None
             if not math.isfinite(parsed):
                 raise ParseError(line_no, f"{key} must be finite, got {value!r}")
-        if key == "seed":
-            try:
-                int(value)
-            except ValueError:
-                raise ParseError(line_no, f"seed must be an integer, got {value!r}") from None
 
     if "model" not in raw:
         raise MissingKey("model")
@@ -119,9 +107,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     return ScenarioConfig(
         model=model,
         params=ModelParams(**params),
-        regime=raw.get("regime"),
         subsidy=float(raw.get("subsidy", "0")),
-        seed=int(raw["seed"]) if "seed" in raw else None,
     )
 
 
@@ -161,11 +147,11 @@ def _solve(cfg: ScenarioConfig) -> tuple[str, tuple]:
         return SOLVE_HEADER, ("game", eq.rho_star, eq.n_star, eq.c_w, eq.c_m,
                               eq.u_w, eq.u_m, eq.wife_participates,
                               eq.husband_participates, eq.interior)
-    ext = solve_extended(p, cfg.regime)
-    return SOLVE_HEADER + ",regime,root_count", (
+    ext = solve_extended(p, "high")
+    return SOLVE_HEADER + ",root_count", (
         "extended", ext.selected_rho, ext.n_star, ext.c_w, ext.c_m, ext.u_w,
         ext.u_m, ext.wife_participates, ext.husband_participates, ext.interior,
-        ext.regime, len(ext.positive_roots))
+        len(ext.positive_roots))
 
 
 def _unsubsidized_game(cfg: ScenarioConfig, command: str) -> ModelParams:
@@ -219,14 +205,11 @@ def _sweep_rows(cfg: ScenarioConfig, param: str, lo: float, hi: float,
 
 
 def _population_rows(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
-    seed = args.seed if args.seed is not None else (cfg.seed or 0)
-    aw_mu = args.aw_mu if args.aw_mu is not None else math.log(cfg.params.a_w)
-    am_mu = args.am_mu if args.am_mu is not None else math.log(cfg.params.a_m)
     spec = PopulationSpec(
         count=args.households,
-        seed=seed,
-        aw_dist=LogNormalSpec(aw_mu, args.aw_sigma),
-        am_dist=LogNormalSpec(am_mu, args.am_sigma),
+        seed=args.seed,
+        aw_dist=LogNormalSpec(math.log(cfg.params.a_w), args.aw_sigma),
+        am_dist=LogNormalSpec(math.log(cfg.params.a_m), args.am_sigma),
         alpha=cfg.params.alpha,
         delta=cfg.params.delta,
         gamma=cfg.params.gamma,
@@ -251,19 +234,12 @@ def _report_rows(report: AggregateReport) -> list[str]:
     return rows
 
 
-def _resolve_output(path: str) -> str:
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def _emit(rows: list[str], out: str | None) -> None:
     text = "\n".join(rows) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(_resolve_output(out), "w", encoding="utf-8", newline="\n") as fh:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 
@@ -303,10 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     population = sub.add_parser("population", help="aggregate a sampled population")
     population.add_argument("scenario")
     population.add_argument("--households", type=int, required=True)
-    population.add_argument("--seed", type=int, default=None)
-    population.add_argument("--aw-mu", type=float, default=None)
+    population.add_argument("--seed", type=int, default=0)
     population.add_argument("--aw-sigma", type=float, default=0.5)
-    population.add_argument("--am-mu", type=float, default=None)
     population.add_argument("--am-sigma", type=float, default=0.5)
     return parser
 
@@ -330,8 +304,7 @@ def run_command(argv: list[str]) -> int:
             _emit(rows, args.out)
             if args.svg:
                 chart = line_chart(xs, ns, x_label=args.param, y_label="n_star")
-                with open(_resolve_output(args.svg), "w", encoding="utf-8",
-                          newline="\n") as fh:
+                with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
                     fh.write(chart)
         elif args.command == "threshold":
             value = fertility_threshold(_unsubsidized_game(cfg, "threshold"))

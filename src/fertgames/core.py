@@ -207,7 +207,8 @@ def benchmark_solve(p: ModelParams) -> BenchmarkSolution:
     u_w, _ = utility_log_pair(p, c_w, c_m, n)
     wife_utility_delta = u_w - p.gamma * math.log(p.a_w)
     check_finite("utilities", u_family, wife_utility_delta)
-    return BenchmarkSolution(
+    return _record(
+        BenchmarkSolution,
         n_star=n,
         c_w=c_w,
         c_m=c_m,

@@ -74,6 +74,7 @@ _NEWTON_STEPS = 8
 _TINY = sys.float_info.min
 _THIRD = 1.0 / 3.0
 _TURNS = tuple(2.0 * math.pi * j / 3.0 for j in range(3))
+_PAID_AND_SUBSIDY = "a leader solve takes a rearing cost or a subsidy, not both"
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,6 @@ class ExtendedEquilibrium:
     real_roots: tuple[float, ...]
     positive_roots: tuple[float, ...]
     selected_rho: float | None
-    regime: str
     n_star: float
     c_w: float
     c_m: float
@@ -379,7 +379,8 @@ def _leader(x, alpha, delta, gamma, a_w, a_m, paid, subsidy):
             u = u + alpha * n
             found = found & (u > 0.0)
     if subsidy > 0.0:
-        # At the boundary rho = 0 he pays nothing and keeps a_m.
+        # At the boundary rho = 0 he pays nothing (paid is 0 under a
+        # subsidy) and keeps a_m.
         n_edge = g - a_w / subsidy
         edge = (n_edge > 0.0) & (alpha * n_edge > x.where(found, u, 0.0))
         found = found | edge
@@ -403,8 +404,12 @@ def leader_optimum(
     at the no-birth corner), fertility and both consumptions. Raises
     NumericalFailure where the income ratio, a coefficient or a root of the
     cubic, a paid transfer, the husband's consumption or the wife's leaves
-    the floating-point range.
+    the floating-point range, and ValueError where both ``paid`` and
+    ``subsidy`` are nonzero: the boundary ``rho = 0`` is solved only for a
+    husband who pays nothing there.
     """
+    if paid and subsidy:
+        raise ValueError(_PAID_AND_SUBSIDY)
     try:
         roots, rho, n, c_w, c_m, ok = _leader(
             _FLOATS, p.alpha, p.delta, p.gamma, p.a_w, p.a_m, paid, subsidy)
@@ -423,9 +428,13 @@ def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
     ``(n, rho, c_w, c_m, ok)`` with ``rho`` NaN at the no-birth corner.
     Households outside ``ok`` are those the scalar route refuses, or whose
     utilities (:func:`~fertgames.core.utility_linear_pair`) are not finite;
-    their values here mean nothing.
+    their values here mean nothing. Raises ValueError, as the scalar route
+    does, where a household pays ``paid > 0`` under a subsidy.
     """
     import numpy as np
+
+    if subsidy and np.any(paid):
+        raise ValueError(_PAID_AND_SUBSIDY)
 
     columns = np.broadcast_arrays(alpha, delta, gamma, a_w, a_m, paid)
     alpha, delta, gamma = columns[:3]
@@ -456,7 +465,6 @@ def solve_extended(p: ModelParams, regime: str) -> ExtendedEquilibrium:
         real_roots=roots,
         positive_roots=tuple(r for r in roots if r > 0.0),
         selected_rho=rho,
-        regime=regime,
         n_star=n,
         c_w=c_w,
         c_m=c_m,

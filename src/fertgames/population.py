@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .core import PARAM_NAMES, ModelParams, benchmark_solve, pooled_allocation
+from .core import PARAM_NAMES, ModelParams, _record, benchmark_solve, pooled_allocation
 from .errors import HouseholdSolveFailure, InvalidDistribution, ModelError
 from .extended import leader_optima, solve_extended
 from .game import solve_game
@@ -363,7 +363,8 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
         notes.append(
             "subsidy funded from general revenue; no spousal budget deduction"
         )
-    return AggregateReport(
+    return _record(
+        AggregateReport,
         mean_fertility=_left_sum(n) / count,
         childless_share=int(np.count_nonzero(n <= 0.0)) / count,
         mean_transfer=(_left_sum(transfers) / len(transfers)) if len(transfers) else None,

@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import wraps
 
-from .core import ModelParams, check_finite
+from .core import ModelParams, _record, check_finite
 from .errors import BoundaryStatics, NumericalFailure
 from .extended import equilibrium_transfer, income_units
 from .game import GameEquilibrium, solve_game
@@ -182,7 +182,8 @@ def build_report(p: ModelParams) -> StaticsReport:
              gamma_regime.transfer_term, gamma_regime.preference_term)
     if not all(sys.float_info.min <= abs(v) < math.inf for v in cells):
         raise NumericalFailure(f"a statics cell leaves the normal float range: {cells!r}")
-    return StaticsReport(
+    return _record(
+        StaticsReport,
         radicand=radicand,
         rho_star=rho,
         n_star=eq.n_star,

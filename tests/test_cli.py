@@ -1,6 +1,8 @@
 """Scenario parsing, command dispatch, exit codes, and golden files."""
 
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -17,6 +19,7 @@ SCENARIOS = REPO / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 GAME_ANCHOR = str(SCENARIOS / "game_anchor.scn")
+GAME_TEXT = (SCENARIOS / "game_anchor.scn").read_text(encoding="utf-8")
 
 
 class TestParseScenario:
@@ -36,7 +39,7 @@ class TestParseScenario:
     def test_missing_beta_for_extended(self):
         with pytest.raises(MissingKey) as exc:
             parse_scenario("model = extended\nalpha = 1\ndelta = 1\n"
-                           "gamma = 1\na_w = 1\na_m = 3\nregime = low\n")
+                           "gamma = 1\na_w = 1\na_m = 3\n")
         assert exc.value.key == "beta"
 
     def test_unknown_key_rejected(self):
@@ -69,6 +72,14 @@ class TestParseScenario:
             "model = game\nalpha = 2\ndelta = 1\ngamma = 1\na_w = 1\na_m = 3\n")
         assert cfg.params.beta == 1.0
 
+    @pytest.mark.parametrize("line", ["regime = high", "seed = 7"])
+    def test_retired_keys_rejected(self, line):
+        # No model reads the regime, and --seed sets the population's seed.
+        with pytest.raises(UnknownKey) as exc:
+            parse_scenario("model = extended\nalpha = 1\ndelta = 1\ngamma = 1\n"
+                           f"beta = 1\na_w = 1\na_m = 3\n{line}\n")
+        assert exc.value.key == line.split()[0]
+
 
 def golden(name: str) -> str:
     return (GOLDEN / name).read_text(encoding="utf-8")
@@ -94,8 +105,8 @@ class TestExitCodes:
         assert run_command(["solve", str(bad)]) == 2
         assert "alpha" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("incomes", [[], ["--aw-mu", "0", "--am-mu", "1"]],
-                             ids=["scenario", "overridden"])
+    @pytest.mark.parametrize("incomes", [[], ["--aw-sigma", "0", "--am-sigma", "0"]],
+                             ids=["scenario", "point"])
     def test_population_with_negative_income_is_two(self, tmp_path, capsys, incomes):
         bad = tmp_path / "bad.scn"
         bad.write_text("model = game\nalpha = 2\ndelta = 1\ngamma = 1\n"
@@ -147,7 +158,7 @@ class TestExitCodes:
         assert run_command(["solve", str(bad)]) == 2
 
     @pytest.mark.parametrize("model_lines,rho_cell", [
-        ("model = extended\nbeta = 1\nregime = high\n", ""),
+        ("model = extended\nbeta = 1\n", ""),
         ("model = game\nsubsidy = 0.5\n", "0"),
         ("model = game\n", "6.1803398875e+299"),
     ])
@@ -169,7 +180,7 @@ class TestExitCodes:
     def test_income_ratio_beyond_float_range_is_three(self, tmp_path, capsys):
         scn = tmp_path / "split.scn"
         scn.write_text("model = extended\nalpha = 1\ndelta = 1\ngamma = 1\n"
-                       "beta = 1\na_w = 1e300\na_m = 1e-300\nregime = high\n")
+                       "beta = 1\na_w = 1e300\na_m = 1e-300\n")
         assert run_command(["solve", str(scn)]) == 3
         out = capsys.readouterr()
         assert out.out == ""
@@ -177,7 +188,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("scenario", [
         # The transfer of the extended game is subnormal (4.7e-320).
-        "model = extended\nregime = high\nalpha = 2.101451275868292e87\n"
+        "model = extended\nalpha = 2.101451275868292e87\n"
         "delta = 5.194926253028594e-109\ngamma = 6.440184239968988e63\n"
         "beta = 2.1803794696445467e-82\na_w = 5.884178548989604e-148\n"
         "a_m = 1.1255409357259234e-75\n",
@@ -234,6 +245,34 @@ class TestExitCodes:
         assert out.out == ""
         assert "invalid input" in out.err
 
+    @pytest.mark.parametrize("scenario,argv", [
+        ("model = game\nalpha 2\n", ["solve"]),
+        ("model = game\nalpha =\n", ["solve"]),
+        ("model = game\nalpha = inf\n", ["solve"]),
+        ("model = game\nalpha = 2\ndelta = 1\ngamma = 1\na_w = 1\na_m = 3\n"
+         "subsidy = -1\n", ["solve"]),
+        (GAME_TEXT, ["sweep", "--param", "kappa", "--from", "0", "--to", "1",
+                     "--steps", "2", "--out", "sweep.csv"]),
+        (GAME_TEXT, ["sweep", "--param", "a_w", "--from", "0", "--to", "1",
+                     "--steps", "0", "--out", "sweep.csv"]),
+        (GAME_TEXT, ["population", "--households", "3", "--seed", "-1"]),
+    ], ids=["no_equals", "empty_value", "infinite", "negative_subsidy",
+            "sweep_unknown_param", "sweep_zero_steps", "negative_seed"])
+    def test_refused_input_is_two(self, tmp_path, monkeypatch, capsys, scenario, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.scn").write_text(scenario)
+        assert run_command([argv[0], "bad.scn", *argv[1:]]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err != ""
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_population_prints_nan_for_empty_deciles(self, capsys):
+        # Three households leave seven of the ten deciles empty.
+        assert run_command(["population", GAME_ANCHOR, "--households", "3"]) == 0
+        deciles = capsys.readouterr().out.splitlines()[-10:]
+        assert sum(row.endswith(",0,nan") for row in deciles) == 7
+
 
 class TestGoldenFiles:
     @pytest.mark.parametrize("scenario,expected", [
@@ -287,12 +326,50 @@ class TestGoldenFiles:
         run_command(argv)
         assert capsys.readouterr().out == first
 
-    def test_output_dir_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FERTGAMES_OUTDIR", str(tmp_path))
-        assert run_command(["sweep", GAME_ANCHOR, "--param", "a_w",
-                            "--from", "1", "--to", "2", "--steps", "2",
-                            "--out", "rel.csv"]) == 0
-        assert (tmp_path / "rel.csv").exists()
+
+class TestSubsidySweep:
+    ARGV = ["--param", "subsidy", "--from", "0", "--to", "1", "--steps", "4"]
+
+    def test_rows_match_solve_and_fertility_rises(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        scenario = SCENARIOS / "game_subsidized.scn"
+        assert run_command(["sweep", str(scenario), *self.ARGV, "--out", str(out)]) == 0
+        header, *rows = out.read_text(encoding="utf-8").splitlines()
+        assert header.startswith("param_value,model,")
+        base = scenario.read_text(encoding="utf-8").replace("subsidy = 0.5", "subsidy = {}")
+        ns = []
+        for row in rows:
+            value, cells = row.split(",", 1)
+            step = tmp_path / "step.scn"
+            step.write_text(base.format(value))
+            assert run_command(["solve", str(step)]) == 0
+            assert capsys.readouterr().out.splitlines()[1] == cells
+            ns.append(float(cells.split(",")[2]))
+        assert [row.split(",")[0] for row in rows] == ["0", "0.25", "0.5", "0.75", "1"]
+        assert ns == sorted(ns) and ns[0] == 0.0 < ns[1]
+
+    def test_extended_sweep_is_two_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run_command(["sweep", str(SCENARIOS / "extended_anchor.scn"), *self.ARGV,
+                            "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+
+class TestReadme:
+    def test_cli_examples_run(self, tmp_path, monkeypatch, capsys):
+        # Every fertgames command of the README's CLI section, run from a
+        # directory holding a copy of the scenarios.
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+        commands = [argv[1:] for argv in commands if argv and argv[0] == "fertgames"]
+        assert len(commands) == 5
+        shutil.copytree(SCENARIOS, tmp_path / "scenarios")
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert run_command(argv) == 0, argv
+            assert capsys.readouterr().err == ""
 
 
 class TestSolveOnlyImports:

@@ -116,6 +116,11 @@ class TestUtilities:
         with pytest.raises(DomainError):
             utility_linear_pair(p, 0.0, 1.0, 1.0)
 
+    def test_linear_pair_rejects_negative_fertility(self):
+        p = ModelParams(1, 1, 1, 1, 1, 1)
+        with pytest.raises(DomainError):
+            utility_linear_pair(p, 1.0, 1.0, -1.0)
+
     @given(params_strategy(), st.floats(0.01, 100), st.floats(0.01, 100),
            st.floats(0.01, 100))
     def test_log_pair_matches_definition(self, p, c_w, c_m, n):

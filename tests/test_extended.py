@@ -129,6 +129,13 @@ class TestRootIsolation:
             tuple(2.0 * math.cos(2.0 * math.pi * k / 7.0) for k in (3, 2, 1)),
             abs=1e-12)
 
+    def test_zero_leading_coefficient_rejected(self):
+        with pytest.raises(ValueError):
+            real_roots((0.0, 1.0, 1.0, 1.0))
+
+    def test_pure_cube_at_zero(self):
+        assert real_roots((2.0, 0.0, 0.0, 0.0)) == (0.0,)
+
     def test_double_root_detected(self):
         # (x - 1)^2 * (x - 3) = x^3 - 5x^2 + 7x - 3
         roots = real_roots((1.0, -5.0, 7.0, -3.0))

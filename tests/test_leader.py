@@ -25,6 +25,7 @@ from fertgames import (
     solve_extended,
     solve_game,
 )
+from fertgames.extended import leader_optima, leader_optimum
 from conftest import (
     LEAD_OVERFLOW,
     LEAD_OVERFLOW_SUBSIDY,
@@ -37,6 +38,13 @@ from conftest import (
 SCENARIO = ModelParams(alpha=1, delta=1, gamma=1, beta=1, a_w=1, a_m=1)
 SCENARIO_SUBSIDY = 0.5
 SCALES = (1e50, 1e-50, 1e150, 1e-150, 1e300, 1e-300)
+# A rearing cost under a subsidy: at rho = 0 the husband would still pay
+# beta*n = 160 out of a_m = 0.74, so the certifier gives the corner where a
+# boundary that keeps a_m would give n = 79.55.
+PAID_AND_SUBSIDY = (ModelParams(
+    alpha=0.12318288969547643, delta=0.1251743720674299, gamma=9.962130582791056,
+    beta=2.0171501328706705, a_w=0.29445599672300754, a_m=0.7411312135708246),
+    8.879170316431871)
 
 
 def mp_leader(p: ModelParams, paid: float, subsidy: float):
@@ -102,6 +110,18 @@ def test_overflowing_scaled_cubic_is_solved_or_refused():
         return
     want_rho, want_n = mp_leader(LEAD_OVERFLOW, 0.0, LEAD_OVERFLOW_SUBSIDY)
     assert_matches(eq.rho_star, eq.n_star, want_rho, want_n)
+
+
+@pytest.mark.parametrize("entry", ["leader_optimum", "leader_optima"])
+def test_rearing_cost_with_subsidy_is_refused(entry):
+    p, s = PAID_AND_SUBSIDY
+    assert mp_leader(p, p.beta, s)[0] is None
+    with pytest.raises(ValueError, match="not both"):
+        if entry == "leader_optimum":
+            leader_optimum(p, p.beta, s)
+        else:  # one household of two pays the cost
+            leader_optima(p.alpha, p.delta, p.gamma, p.a_w, p.a_m,
+                          np.array([0.0, p.beta]), s)
 
 
 @pytest.mark.parametrize("subsidy", [-0.1, math.nan, math.inf])

@@ -227,6 +227,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidDistribution):
             sample_households(point_spec(1, 1, alpha=(2.0, 1.0)))
 
+    @pytest.mark.parametrize("alpha", [(1.0, 2.0, 3.0), -1.0, "2"],
+                             ids=["three_bounds", "negative", "string"])
+    def test_rejects_bad_preference(self, alpha):
+        with pytest.raises(InvalidDistribution):
+            point_spec(1, 1, alpha=alpha)
+
     def test_rejects_subsidy_outside_game(self):
         with pytest.raises(InvalidDistribution):
             aggregate(point_spec(1, 3, model="benchmark", subsidy=0.5))

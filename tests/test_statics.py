@@ -65,6 +65,10 @@ class TestFiniteDifferenceChecks:
         with pytest.raises(ValueError):
             fd_check(ANCHOR, "rho", "beta")
 
+    def test_fd_rejects_unknown_target(self):
+        with pytest.raises(ValueError):
+            fd_check(ANCHOR, "c_m", "a_w")
+
     def test_scaling_direction_has_zero_derivative(self):
         h = 1e-6
 

@@ -27,6 +27,11 @@ def test_constant_series_handled():
     assert "<polyline" in svg
 
 
+def test_constant_x_handled():
+    svg = line_chart([3.0, 3.0], [0.0, 1.0], "x", "y")
+    assert "<polyline" in svg
+
+
 def test_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         line_chart([0.0, 1.0], [1.0], "x", "y")
