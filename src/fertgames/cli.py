@@ -42,9 +42,10 @@ from .svg import line_chart
 _NUMERIC_KEYS = PARAM_NAMES + ("subsidy",)
 _KNOWN_KEYS = ("model",) + _NUMERIC_KEYS
 
-# Keys that must be present per model. beta never enters the transfer game
-# (rearing costs are folded into the transfer there), so game scenarios may
-# omit it; an inert placeholder of 1 keeps the parameter record valid.
+# Keys that must be present per model; a model reads these and ``subsidy``,
+# and a scenario or sweep that sets any other key is refused. beta never
+# enters the transfer game (rearing costs are folded into the transfer
+# there); an inert placeholder of 1 keeps its parameter record valid.
 _REQUIRED_KEYS = {
     "benchmark": PARAM_NAMES,
     "game": ("alpha", "delta", "gamma", "a_w", "a_m"),
@@ -67,9 +68,14 @@ class ScenarioConfig:
     subsidy: float
 
 
+def _model_keys(model: str) -> tuple[str, ...]:
+    return _REQUIRED_KEYS[model] + ("subsidy",)
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse ``key = value`` scenario text into a validated config."""
     raw: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -84,7 +90,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ParseError(line_no, f"duplicate key {key!r}")
         if not value:
             raise ParseError(line_no, f"empty value for {key!r}")
-        raw[key] = value
+        raw[key], line_of[key] = value, line_no
         if key == "model" and value not in MODELS:
             raise ParseError(line_no, f"model must be one of {MODELS}, got {value!r}")
         if key in _NUMERIC_KEYS:
@@ -101,6 +107,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     for key in _REQUIRED_KEYS[model]:
         if key not in raw:
             raise MissingKey(key)
+    for key in raw:
+        if key != "model" and key not in _model_keys(model):
+            raise ParseError(line_of[key], f"the {model} model does not read {key!r}")
 
     # Only a game scenario's beta can be missing here.
     params = {name: float(raw.get(name, _INERT_GAME_BETA)) for name in PARAM_NAMES}
@@ -182,8 +191,10 @@ def _statics_rows(cfg: ScenarioConfig) -> list[str]:
 
 def _sweep_rows(cfg: ScenarioConfig, param: str, lo: float, hi: float,
                 steps: int) -> tuple[list[str], list[float], list[float]]:
-    if param not in _NUMERIC_KEYS:
-        raise ScenarioError(f"cannot sweep {param!r}; choose from {_NUMERIC_KEYS}")
+    keys = _model_keys(cfg.model)
+    if param not in keys:
+        raise ScenarioError(f"cannot sweep {param!r} under the {cfg.model} model; "
+                            f"choose from {keys}")
     if steps < 1:
         raise ScenarioError(f"steps must be >= 1, got {steps}")
     rows: list[str] = []

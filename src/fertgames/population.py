@@ -7,8 +7,14 @@ normals for the incomes, then one uniform per ranged preference in the order
 alpha, delta, gamma, beta. Draws thus depend only on (seed, index), so
 parallel and serial generation agree bit for bit, and a test pins the
 equality. The sampler does not build a generator per household: it derives
-every household's PCG64 state at once by numpy's documented SeedSequence and
-PCG64 seeding, and sets each state on one reused generator.
+every household's PCG64 state at once by numpy's SeedSequence and PCG64
+seeding, steps the generators as 64-bit halves of arrays, and turns their
+outputs into draws by the fast path of numpy's ziggurat (O'Neill's PCG,
+HMC-CS-2014-0905; Marsaglia and Tsang, J. Stat. Softw. 2000). The ziggurat's
+tables are read out of the installed numpy on first use. The about 3% of
+households whose normals leave the fast path, and every household if the
+first-use check finds a difference, are drawn by setting their states on
+one reused generator.
 
 A population is walked once, in slices of ``_CHUNK`` households: each
 slice is drawn, solved and reduced to its fertility, transfer and income
@@ -32,6 +38,7 @@ how much of the population sits past the fertility threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -56,10 +63,10 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32, _MASK52, _MASK64, _MASK128 = 2**32 - 1, 2**52 - 1, 2**64 - 1, 2**128 - 1
 # Households drawn, solved and reduced per slice, which bounds the memory of
-# the Python-int states and of the drawn columns.
-_CHUNK = 1 << 16
+# the generator states, the drawn columns and the solver's temporaries.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -149,9 +156,11 @@ def check_subsidy(model: str, subsidy: float) -> None:
         )
 
 
-def _pcg64_states(seed: int, index: np.ndarray):
-    """Yield the PCG64 ``(state, inc)`` of ``default_rng([seed, i])`` for
-    each ``i`` in ``index`` (all below 2**32).
+def _pcg64_states(seed: int, index: np.ndarray) -> list:
+    """The PCG64 ``[state_hi, state_lo, inc_hi, inc_lo]`` of
+    ``default_rng([seed, i])`` for each ``i`` in ``index`` (all below 2**32),
+    each a uint64 array: the 128-bit state and increment as two 64-bit
+    halves, after seeding.
 
     numpy's SeedSequence on uint32 arrays: the entropy words (the seed's
     32-bit words, ``[0]`` for seed 0, then ``i``) are hashed into a pool of
@@ -159,11 +168,11 @@ def _pcg64_states(seed: int, index: np.ndarray):
     ``generate_state(4, uint64)`` hashes the pool out into eight words read
     as four little-endian uint64. PCG64 takes the first two as the 128-bit
     initial state and the last two as the stream, and seeds by its
-    ``srandom`` step.
+    ``srandom`` step: ``state = (initial + inc)*MULT + inc``.
     """
     import numpy as np
 
-    u32 = np.uint32
+    u32, u64 = np.uint32, np.uint64
     n = len(index)
     words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
     entropy = [np.full(n, w, dtype=u32) for w in words] + [index.astype(u32)]
@@ -184,16 +193,206 @@ def _pcg64_states(seed: int, index: np.ndarray):
                 mixed = u32(_MIX_L) * pool[dst] - u32(_MIX_R) * hashmix(pool[src])
                 pool[dst] = mixed ^ (mixed >> u32(16))
     const = _INIT_B
-    out = []
+    halves = []
     for j in range(8):
         value = pool[j % 4] ^ u32(const)
         const = const * _MULT_B & _MASK32
         value = value * u32(const)
-        out.append((value ^ (value >> u32(16))).astype(np.uint64))
-    halves = [(out[2 * m] | out[2 * m + 1] << np.uint64(32)).tolist() for m in range(4)]
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        yield ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+        value = (value ^ (value >> u32(16))).astype(u64)
+        if j % 2:
+            halves[-1] |= value << u64(32)
+        else:
+            halves.append(value)
+    state_hi, state_lo, inc_hi, inc_lo = halves
+    # inc = stream << 1 | 1, mod 2**128.
+    inc_hi <<= u64(1)
+    inc_hi |= inc_lo >> u64(63)
+    inc_lo <<= u64(1)
+    inc_lo |= u64(1)
+    _add(halves)
+    _step(halves)
+    return halves
+
+
+# PCG64 on arrays: a generator is the list ``[state_hi, state_lo, inc_hi,
+# inc_lo]`` of uint64 arrays, one lane per household, stepped in place.
+def _add(pcg: list) -> None:
+    """``state += inc`` mod 2**128."""
+    import numpy as np
+
+    state_hi, state_lo, inc_hi, inc_lo = pcg
+    state_lo += inc_lo
+    state_hi += inc_hi
+    state_hi += np.less(state_lo, inc_lo)
+
+
+def _step(pcg: list) -> None:
+    """``state = state*MULT + inc`` mod 2**128. The high word of the low
+    halves' 64x64-bit product comes from 32-bit limbs."""
+    import numpy as np
+
+    u64 = np.uint64
+    state_hi, state_lo = pcg[:2]
+    m_hi, m_lo = u64(_PCG64_MULT >> 64), u64(_PCG64_MULT & _MASK64)
+    m1, m0 = u64(_PCG64_MULT >> 32 & _MASK32), u64(_PCG64_MULT & _MASK32)
+    low, high = state_lo & u64(_MASK32), state_lo >> u64(32)
+    state_hi *= m_lo
+    state_hi += state_lo * m_hi
+    state_lo *= m_lo
+    # mulhi(low + high*2**32, m0 + m1*2**32); each limb product fits 64 bits.
+    mid = low * m0
+    mid >>= u64(32)
+    low *= m1
+    mid += low & u64(_MASK32)
+    state_hi += low >> u64(32)
+    np.multiply(high, m0, out=low)
+    mid += low & u64(_MASK32)
+    state_hi += low >> u64(32)
+    high *= m1
+    state_hi += high
+    mid >>= u64(32)
+    state_hi += mid
+    _add(pcg)
+
+
+def _output(pcg: list) -> np.ndarray:
+    """Step, then the XSL-RR output ``rotr64(hi ^ lo, hi >> 58)``."""
+    import numpy as np
+
+    u64 = np.uint64
+    _step(pcg)
+    state_hi, state_lo = pcg[:2]
+    xored = state_hi ^ state_lo
+    rot = state_hi >> u64(58)
+    out = xored >> rot
+    np.subtract(u64(64), rot, out=rot)
+    rot &= u64(63)
+    xored <<= rot
+    out |= xored
+    return out
+
+
+def _ziggurat_normals(r: np.ndarray, wi: np.ndarray, ki: np.ndarray):
+    """The fast path of numpy's ziggurat ``random_standard_normal`` on the
+    outputs ``r``: ``(x, fast)``, where ``x`` is the normal wherever ``fast``
+    is true."""
+    import numpy as np
+
+    u64 = np.uint64
+    idx = (r & u64(0xFF)).astype(np.intp)
+    rabs = r >> u64(9)
+    rabs &= u64(_MASK52)
+    fast = rabs < ki[idx]
+    x = rabs.astype(float)
+    x *= wi[idx]
+    r >>= u64(8)
+    r &= u64(1)
+    np.negative(x, out=x, where=r.astype(bool))
+    return x, fast
+
+
+def _array_draws(seed: int, index: np.ndarray, width: int, tables: tuple):
+    """``(raw, flagged)``: the ``width`` draws of each household of
+    ``index`` (two standard normals, then uniforms) as array arithmetic, one
+    row each, and the households whose normals leave the ziggurat's fast
+    path, whose rows hold no valid draw."""
+    import numpy as np
+
+    pcg = _pcg64_states(seed, index)
+    raw = np.empty((len(index), width))
+    fast = np.ones(len(index), dtype=bool)
+    for j in range(width):
+        r = _output(pcg)
+        if j < 2:
+            raw[:, j], lane_fast = _ziggurat_normals(r, *tables)
+            fast &= lane_fast
+        else:
+            r >>= np.uint64(11)
+            raw[:, j] = r * 2.0**-53
+    return raw, ~fast
+
+
+def _scalar_draws(seed: int, index: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` draws of each household of ``index``, one row each, by
+    setting its state on one reused generator."""
+    import numpy as np
+
+    state_hi, state_lo, inc_hi, inc_lo = (a.tolist() for a in _pcg64_states(seed, index))
+    raw = np.empty((len(index), width))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    state = {"state": 0, "inc": 0}
+    setting = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    for row, s_hi, s_lo, i_hi, i_lo in zip(raw, state_hi, state_lo, inc_hi, inc_lo):
+        state["state"], state["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+        bitgen.state = setting
+        gen.standard_normal(out=row[:2])
+        if width > 2:
+            gen.random(out=row[2:])
+    return raw
+
+
+def _output_of(state: int) -> int:
+    """PCG64's XSL-RR output of a 128-bit state."""
+    xored = (state >> 64 ^ state) & _MASK64
+    rot = state >> 122
+    return (xored >> rot | xored << (64 - rot)) & _MASK64
+
+
+def _probe_tables():
+    """numpy's ziggurat tables ``wi`` and ``ki``, read out of the installed
+    numpy by crafted states, with ``ki`` zero at ``idx`` 0 (the tail), at 1
+    (``ki[1] = 0``) and wherever a probe fails, so that those indices are
+    always left to the scalar route.
+
+    Probe ``j`` sets the state and increment whose first two outputs are
+    chosen (states with a zero high half output their low half) and draws
+    two normals. The first output, ``j | 1 << 9``, gives ``wi[j]``. The
+    second tests ``ki[j - 1]``, which is ``floor(2**52*wi[j-2]/wi[j-1])`` to
+    within one, at ``rabs`` one below that estimate. Both normals took the
+    fast path exactly when the next raw output is the stream's third, and
+    ``ki[i]`` is kept only if probes ``i`` and ``i + 1`` both did.
+    """
+    import numpy as np
+
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    inverse = pow(_PCG64_MULT, -1, 1 << 128)
+    state = {"state": 0, "inc": 0}
+    setting = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    wi, normals = [], np.empty(2)
+    estimate, fast = [0] * 257, [False] * 257
+    for j in range(257):
+        if j >= 3:
+            k = math.ldexp(wi[j - 2] / wi[j - 1], 52) if wi[j - 1] > 0 else 0.0
+            estimate[j - 1] = math.floor(k) if 2 <= k < 2**52 else 0
+        first = j & 0xFF | 1 << 9
+        second = (j - 1 | (estimate[j - 1] - 1) << 9) if estimate[j - 1] else first
+        inc = (second - first * _PCG64_MULT) & _MASK128
+        state["state"], state["inc"] = (first - inc) * inverse & _MASK128, inc
+        bitgen.state = setting
+        gen.standard_normal(out=normals)
+        wi.append(float(normals[0]))
+        fast[j] = int(bitgen.random_raw()) == _output_of((second * _PCG64_MULT + inc) & _MASK128)
+    ki = [k if fast[i] and fast[i + 1] else 0 for i, k in enumerate(estimate[:256])]
+    return np.array(wi[:256]), np.array(ki, dtype=np.uint64)
+
+
+@functools.cache
+def _ziggurat() -> tuple:
+    """The tables of :func:`_probe_tables`, read once per process. At first
+    use 64 households' array draws are compared with the scalar route's; on
+    any difference ``ki`` is all zero, so that every household is left to
+    the scalar route."""
+    import numpy as np
+
+    wi, ki = _probe_tables()
+    index = np.arange(64)
+    raw, flagged = _array_draws(0, index, 3, (wi, ki))
+    want = _scalar_draws(0, index, 3)
+    if (raw[~flagged].view(np.uint64) != want[~flagged].view(np.uint64)).any():
+        ki = np.zeros_like(ki)
+    return wi, ki
 
 
 # Drawn households are a struct of arrays, ``columns``: one column per
@@ -218,7 +417,9 @@ def _slices(count: int):
 
 def _draw(spec: PopulationSpec, index: np.ndarray) -> tuple:
     """Draw the households ``index`` (at most ``_CHUNK`` of them); each
-    depends only on (seed, index).
+    depends only on (seed, index). The draws are array arithmetic; the
+    households that leave the ziggurat's fast path are drawn, in index
+    order, by the scalar route.
 
     Raises NonPositiveParameter, as ModelParams does, for the first
     household whose draw is not finite and positive (an income whose
@@ -227,17 +428,10 @@ def _draw(spec: PopulationSpec, index: np.ndarray) -> tuple:
     import numpy as np
 
     ranged = [name for name in PREFERENCES if isinstance(getattr(spec, name), tuple)]
-    raw = np.empty((len(index), 2 + len(ranged)))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    state = {"state": 0, "inc": 0}
-    setting = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-    for row, (pcg_state, inc) in zip(raw, _pcg64_states(spec.seed, index)):
-        state["state"], state["inc"] = pcg_state, inc
-        bitgen.state = setting
-        gen.standard_normal(out=row[:2])
-        if ranged:
-            gen.random(out=row[2:])
+    width = 2 + len(ranged)
+    raw, flagged = _array_draws(spec.seed, index, width, _ziggurat())
+    if flagged.any():
+        raw[flagged] = _scalar_draws(spec.seed, index[flagged], width)
 
     values = {name: float(getattr(spec, name)) for name in PREFERENCES if name not in ranged}
     for j, name in enumerate(ranged, start=2):
@@ -314,11 +508,17 @@ def _solve_arrays(spec: PopulationSpec, alpha, delta, gamma, beta, a_w, a_m):
     return n, rho, ok
 
 
-def _left_sum(values: np.ndarray) -> float:
+def _left_sum(values: np.ndarray, total: float | None = None) -> float | None:
     """Left-to-right sum, one rounding per addition, which defines every
-    mean. ``cumsum`` adds in that order; numpy's ``sum`` adds pairwise, and
-    the builtin ``sum`` compensates from Python 3.12 on."""
-    return float(values.cumsum()[-1])
+    mean. It continues from ``total``, the sum of the values before, so a sum
+    taken slice by slice has the bits of one taken at once; None while there
+    are no values. ``cumsum`` adds in that order; numpy's ``sum`` adds
+    pairwise, and the builtin ``sum`` compensates from Python 3.12 on."""
+    import numpy as np
+
+    if total is not None:
+        values = np.concatenate(([total], values))
+    return float(values.cumsum()[-1]) if len(values) else total
 
 
 def aggregate(spec: PopulationSpec) -> AggregateReport:
@@ -332,23 +532,27 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
 
     count = spec.count
     n, ratios = np.empty(count), np.empty(count)
-    rho = None if spec.model == "benchmark" else np.empty(count)
+    # The sums of the fertilities, the income ratios and the transfers of
+    # households with children are carried from slice to slice, so only n
+    # and the ratios, which the deciles sort, are kept whole.
+    sums, interior = [None, None, None], 0
     for index in _slices(count):
         start = int(index[0])
-        chunk = slice(start, start + len(index))
         columns = _draw(spec, index)
-        n[chunk], rho_chunk, ok = _solve_arrays(spec, *columns)
-        if rho is not None:
-            rho[chunk] = rho_chunk
+        n_chunk, rho, ok = _solve_arrays(spec, *columns)
         for i in np.flatnonzero(~ok).tolist():
-            n[start + i], transfer = _solve_one(spec, _params(columns, i), start + i)
+            n_chunk[i], transfer = _solve_one(spec, _params(columns, i), start + i)
             if transfer is not None:
-                rho[start + i] = transfer
+                rho[i] = transfer
         a_w, a_m = columns[4:]
-        ratios[chunk] = a_w / a_m
-    transfers = n[:0] if rho is None else rho[n > 0]
-
-    ranked = n[np.argsort(ratios, kind="stable")]
+        chunk = slice(start, start + len(index))
+        n[chunk], ratios[chunk] = n_chunk, a_w / a_m
+        transfers = n_chunk[:0] if rho is None else rho[n_chunk > 0]
+        interior += len(transfers)
+        sums = [_left_sum(v, total) for v, total in zip((n_chunk, ratios[chunk], transfers), sums)]
+    fertility_sum, ratio_sum, transfer_sum = sums
+    # The fertilities in income-ratio order take the place of the ratios.
+    ranked = np.take(n, np.argsort(ratios, kind="stable"), out=ratios)
     # Bucket b holds the ranks with rank*10//count == b.
     bounds = [-(-b * count // 10) for b in range(11)]
     decile_counts = tuple(bounds[b + 1] - bounds[b] for b in range(10))
@@ -365,10 +569,10 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
         )
     return _record(
         AggregateReport,
-        mean_fertility=_left_sum(n) / count,
+        mean_fertility=fertility_sum / count,
         childless_share=int(np.count_nonzero(n <= 0.0)) / count,
-        mean_transfer=(_left_sum(transfers) / len(transfers)) if len(transfers) else None,
-        mean_income_ratio=_left_sum(ratios) / count,
+        mean_transfer=transfer_sum / interior if interior else None,
+        mean_income_ratio=ratio_sum / count,
         fertility_by_ratio_decile=decile_means,
         decile_counts=decile_counts,
         notes=tuple(notes),

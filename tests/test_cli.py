@@ -256,8 +256,14 @@ class TestExitCodes:
         (GAME_TEXT, ["sweep", "--param", "a_w", "--from", "0", "--to", "1",
                      "--steps", "0", "--out", "sweep.csv"]),
         (GAME_TEXT, ["population", "--households", "3", "--seed", "-1"]),
+        # The transfer game never reads beta.
+        ("model = game\nalpha = 2\ndelta = 1\ngamma = 1\nbeta = 1\na_w = 1\na_m = 3\n",
+         ["solve"]),
+        (GAME_TEXT, ["sweep", "--param", "beta", "--from", "1", "--to", "100",
+                     "--steps", "3"]),
     ], ids=["no_equals", "empty_value", "infinite", "negative_subsidy",
-            "sweep_unknown_param", "sweep_zero_steps", "negative_seed"])
+            "sweep_unknown_param", "sweep_zero_steps", "negative_seed", "game_beta",
+            "sweep_game_beta"])
     def test_refused_input_is_two(self, tmp_path, monkeypatch, capsys, scenario, argv):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.scn").write_text(scenario)

@@ -212,6 +212,86 @@ class TestBatchedSampling:
             sample_household(point_spec(1, 1, count=2**32 - 1), 2**32)
 
 
+def ziggurat_paths(seed: int, index: int) -> list[str]:
+    """The path numpy's ziggurat took for each income normal of household
+    ``index``: "fast", "tail" (``idx = 0`` past the base strip), "idx1",
+    "wedge" (accepted on the first try) or "loop" (rejected and drawn
+    again), read from how many raw outputs each normal consumed."""
+    walker = np.random.PCG64([seed, index])
+    outputs, states = [], []
+    for _ in range(32):
+        outputs.append(int(walker.random_raw()))
+        states.append(walker.state["state"]["state"])
+    gen = np.random.default_rng([seed, index])
+    paths, used = [], 0
+    for _ in range(2):
+        gen.standard_normal()
+        now = states.index(gen.bit_generator.state["state"]["state"]) + 1
+        idx, consumed = outputs[used] & 0xFF, now - used
+        paths.append("tail" if idx == 0 and consumed > 1 else "idx1" if idx == 1
+                     else ("fast", "wedge", "loop")[min(consumed, 3) - 1])
+        used = now
+    return paths
+
+
+SLOW_PATHS = [(normal, path) for normal in (0, 1)
+              for path in ("tail", "idx1", "wedge", "loop")]
+ZIGGURAT_COUNT = 24
+
+
+@pytest.fixture(scope="module")
+def slow_households():
+    """The first (seed, index), over seeds 0, 1, ... and indices below
+    ``ZIGGURAT_COUNT``, whose first or second normal takes each slow path."""
+    found = {}
+    for seed in range(500):
+        for i in range(ZIGGURAT_COUNT):
+            for normal, path in enumerate(ziggurat_paths(seed, i)):
+                found.setdefault((normal, path), (seed, i))
+        if all(key in found for key in SLOW_PATHS):
+            return found
+    raise AssertionError(f"only found {sorted(found)}")
+
+
+class TestZigguratPaths:
+    """Households whose normals leave the ziggurat's fast path are drawn by
+    the scalar route, and match ``default_rng([seed, i])`` as the others do."""
+
+    @pytest.mark.parametrize("normal,path", SLOW_PATHS,
+                             ids=[f"{path}-{('first', 'second')[n]}" for n, path in SLOW_PATHS])
+    def test_slow_path_matches_default_rng(self, monkeypatch, slow_households,
+                                           normal, path):
+        seed, index = slow_households[normal, path]
+        spec = PopulationSpec(count=ZIGGURAT_COUNT, seed=seed,
+                              aw_dist=LogNormalSpec(0.3, 0.7),
+                              am_dist=LogNormalSpec(-0.1, 0.4), **RANGED_PREFS)
+        flagged = population._array_draws(seed, np.array([index]), 5,
+                                          population._ziggurat())[1]
+        assert flagged.all()
+        want, want_report = reference_household(spec, index), repr(reference_aggregate(spec))
+        # Slices of 8 put the household in the first, second or third slice.
+        for chunk in (population._CHUNK, 8):
+            monkeypatch.setattr(population, "_CHUNK", chunk)
+            assert sample_household(spec, index) == want
+            assert sample_households(spec)[index] == want
+            assert repr(aggregate(spec)) == want_report
+
+    def test_bad_table_leaves_every_household_to_the_scalar_route(self, monkeypatch):
+        wi, ki = population._probe_tables()
+        population._ziggurat.cache_clear()
+        monkeypatch.setattr(population, "_probe_tables", lambda: (wi * 1.5, ki))
+        try:
+            tables = population._ziggurat()
+            assert not tables[1].any()
+            assert population._array_draws(7, np.arange(64), 3, tables)[1].all()
+            spec = PopulationSpec(count=137, seed=7, aw_dist=LogNormalSpec(0.0, 0.6),
+                                  am_dist=LogNormalSpec(math.log(3.0), 0.5),
+                                  **RANGED_PREFS)
+            assert repr(aggregate(spec)) == repr(reference_aggregate(spec))
+        finally:
+            population._ziggurat.cache_clear()
+
+
 class TestSpecValidation:
     def test_rejects_zero_count(self):
         with pytest.raises(InvalidDistribution):

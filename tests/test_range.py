@@ -97,8 +97,10 @@ def test_numerical_failure(route, p):
 ])
 def test_cli_exit_three(tmp_path, capsys, command, model, p):
     scn = tmp_path / "range.scn"
+    # A game scenario must not set beta, which the transfer game never reads.
     scn.write_text(f"model = {model}\n" + "".join(
-        f"{f.name} = {getattr(p, f.name)!r}\n" for f in fields(p)))
+        f"{f.name} = {getattr(p, f.name)!r}\n" for f in fields(p)
+        if not (model == "game" and f.name == "beta")))
     assert run_command([command, str(scn)]) == 3
     out = capsys.readouterr()
     assert out.out == ""
