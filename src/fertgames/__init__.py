@@ -6,6 +6,12 @@ husband buys fertility through a per-child transfer, and an extension where
 he also pays an explicit rearing cost, which turns his first-order condition
 into a cubic. Closed forms are certified against independent brute-force
 oracles, comparative statics against finite differences.
+
+The names of :mod:`fertgames.population`, the seeded population sampler,
+and of :mod:`fertgames.oracle`, the brute-force certifiers, load their
+module on first access (PEP 562), so that a process which only solves
+never loads numpy or the oracles. Every other public name loads with the
+package.
 """
 
 from .core import (
@@ -41,59 +47,35 @@ from .game import (
     solve_game,
     wife_reaction,
 )
-from .oracle import maximize_1d, oracle_benchmark, oracle_extended, oracle_game
-from .population import (
-    AggregateReport,
-    LogNormalSpec,
-    PopulationSpec,
-    aggregate,
-    sample_households,
-)
 from .statics import RegimeClassification, StaticsReport, build_report, fd_check
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregateReport",
-    "BenchmarkSolution",
-    "BoundaryStatics",
-    "DomainError",
-    "ExtendedEquilibrium",
-    "GameEquilibrium",
-    "HouseholdSolveFailure",
-    "InvalidDistribution",
-    "LogNormalSpec",
-    "MissingKey",
-    "ModelError",
-    "ModelParams",
-    "NonFiniteObjective",
-    "NonPositiveParameter",
-    "NonPositiveTransfer",
-    "NumericalFailure",
-    "ParseError",
-    "PopulationSpec",
-    "PreferenceOrderViolated",
-    "ReactionDecomposition",
-    "RegimeClassification",
-    "ScenarioError",
-    "StaticsReport",
-    "UnknownKey",
-    "aggregate",
-    "benchmark_solve",
-    "build_report",
-    "equilibrium_transfer",
-    "fd_check",
-    "fertility_threshold",
-    "maximize_1d",
-    "oracle_benchmark",
-    "oracle_extended",
-    "oracle_game",
-    "real_roots",
-    "sample_households",
-    "solve_extended",
-    "solve_game",
-    "utility_linear_pair",
-    "utility_log_pair",
-    "validate_params",
-    "wife_reaction",
-]
+# The lazily loaded names, by defining module.
+_LAZY = {
+    "oracle": ("maximize_1d", "oracle_benchmark", "oracle_extended", "oracle_game"),
+    "population": ("AggregateReport", "LogNormalSpec", "PopulationSpec", "aggregate",
+                   "sample_households"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if getattr(value, "__module__", "").startswith(__name__ + ".")]
+    + list(_MODULE_OF))
+
+
+def __getattr__(name: str):
+    """Import the module that defines the lazily loaded ``name`` and keep
+    the value in the package namespace, where later lookups find it."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))

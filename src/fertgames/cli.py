@@ -14,9 +14,17 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from . import statics as statics_mod
-from .core import PARAM_NAMES, ModelParams, benchmark_solve, utility_log_pair
+from .core import (
+    MODELS,
+    PARAM_NAMES,
+    ModelParams,
+    benchmark_solve,
+    check_subsidy,
+    utility_log_pair,
+)
 from .errors import (
     BoundaryStatics,
     HouseholdSolveFailure,
@@ -29,15 +37,10 @@ from .errors import (
 )
 from .extended import solve_extended
 from .game import fertility_threshold, solve_game
-from .population import (
-    MODELS,
-    AggregateReport,
-    LogNormalSpec,
-    PopulationSpec,
-    aggregate,
-    check_subsidy,
-)
 from .svg import line_chart
+
+if TYPE_CHECKING:
+    from .population import AggregateReport
 
 _NUMERIC_KEYS = PARAM_NAMES + ("subsidy",)
 _KNOWN_KEYS = ("model",) + _NUMERIC_KEYS
@@ -216,6 +219,9 @@ def _sweep_rows(cfg: ScenarioConfig, param: str, lo: float, hi: float,
 
 
 def _population_rows(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
+    # Imported here so that the other commands never load the sampler or numpy.
+    from .population import LogNormalSpec, PopulationSpec, aggregate
+
     spec = PopulationSpec(
         count=args.households,
         seed=args.seed,

@@ -20,7 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DomainError, NonPositiveParameter, NumericalFailure, PreferenceOrderViolated
+from .errors import (
+    DomainError,
+    InvalidDistribution,
+    NonPositiveParameter,
+    NumericalFailure,
+    PreferenceOrderViolated,
+)
 
 # Slack for the weak participation inequalities, so an agent exactly at the
 # reservation utility counts as participating.
@@ -65,6 +71,7 @@ class ModelParams:
 
 
 PARAM_NAMES = tuple(field.name for field in fields(ModelParams))
+MODELS = ("benchmark", "game", "extended")
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,17 @@ def _record(cls, **fields):
     record = object.__new__(cls)
     record.__dict__.update(fields)
     return record
+
+
+def check_subsidy(model: str, subsidy: float) -> None:
+    """Reject a negative or non-finite subsidy, or one under a model other
+    than the transfer game, which is the only one that takes a subsidy."""
+    if not (math.isfinite(subsidy) and subsidy >= 0):
+        raise InvalidDistribution(f"subsidy must be >= 0, got {subsidy!r}")
+    if subsidy > 0 and model != "game":
+        raise InvalidDistribution(
+            "subsidies are only solvable under the transfer game"
+        )
 
 
 def check_finite(what: str, *values: float) -> None:

@@ -13,8 +13,9 @@ outputs into draws by the fast path of numpy's ziggurat (O'Neill's PCG,
 HMC-CS-2014-0905; Marsaglia and Tsang, J. Stat. Softw. 2000). The ziggurat's
 tables are read out of the installed numpy on first use. The about 3% of
 households whose normals leave the fast path, and every household if the
-first-use check finds a difference, are drawn by setting their states on
-one reused generator.
+first-use check finds a difference, are drawn by setting their seeded
+states, stepped back from where the array draws left them, on one reused
+generator.
 
 A population is walked once, in slices of ``_CHUNK`` households: each
 slice is drawn, solved and reduced to its fertility, transfer and income
@@ -44,7 +45,15 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .core import PARAM_NAMES, ModelParams, _record, benchmark_solve, pooled_allocation
+from .core import (
+    MODELS,
+    PARAM_NAMES,
+    ModelParams,
+    _record,
+    benchmark_solve,
+    check_subsidy,
+    pooled_allocation,
+)
 from .errors import HouseholdSolveFailure, InvalidDistribution, ModelError
 from .extended import leader_optima, solve_extended
 from .game import solve_game
@@ -52,7 +61,6 @@ from .game import solve_game
 if TYPE_CHECKING:
     import numpy as np
 
-MODELS = ("benchmark", "game", "extended")
 PREFERENCES = ("alpha", "delta", "gamma", "beta")
 
 # A preference entry is either a fixed value or a (lo, hi) uniform range.
@@ -64,6 +72,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK52, _MASK64, _MASK128 = 2**32 - 1, 2**52 - 1, 2**64 - 1, 2**128 - 1
+_PCG64_INVERSE = pow(_PCG64_MULT, -1, 1 << 128)
 # Households drawn, solved and reduced per slice, which bounds the memory of
 # the generator states, the drawn columns and the solver's temporaries.
 _CHUNK = 1 << 14
@@ -143,17 +152,6 @@ def _check_dist(name: str, dist: PreferenceDist) -> None:
             raise InvalidDistribution(f"{name}: fixed value must be > 0, got {dist!r}")
     else:
         raise InvalidDistribution(f"{name}: unsupported distribution {dist!r}")
-
-
-def check_subsidy(model: str, subsidy: float) -> None:
-    """Reject a negative or non-finite subsidy, or one under a model other
-    than the transfer game, which is the only one that takes a subsidy."""
-    if not (math.isfinite(subsidy) and subsidy >= 0):
-        raise InvalidDistribution(f"subsidy must be >= 0, got {subsidy!r}")
-    if subsidy > 0 and model != "game":
-        raise InvalidDistribution(
-            "subsidies are only solvable under the transfer game"
-        )
 
 
 def _pcg64_states(seed: int, index: np.ndarray) -> list:
@@ -292,10 +290,11 @@ def _ziggurat_normals(r: np.ndarray, wi: np.ndarray, ki: np.ndarray):
 
 
 def _array_draws(seed: int, index: np.ndarray, width: int, tables: tuple):
-    """``(raw, flagged)``: the ``width`` draws of each household of
+    """``(raw, flagged, states)``: the ``width`` draws of each household of
     ``index`` (two standard normals, then uniforms) as array arithmetic, one
-    row each, and the households whose normals leave the ziggurat's fast
-    path, whose rows hold no valid draw."""
+    row each; the households whose normals leave the ziggurat's fast path,
+    whose rows hold no valid draw; and the seeded ``(state, inc)`` of each of
+    those, in index order, for :func:`_scalar_draws`."""
     import numpy as np
 
     pcg = _pcg64_states(seed, index)
@@ -309,22 +308,41 @@ def _array_draws(seed: int, index: np.ndarray, width: int, tables: tuple):
         else:
             r >>= np.uint64(11)
             raw[:, j] = r * 2.0**-53
-    return raw, ~fast
+    flagged = ~fast
+    return raw, flagged, _seeded_states(pcg, flagged, width)
 
 
-def _scalar_draws(seed: int, index: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` draws of each household of ``index``, one row each, by
-    setting its state on one reused generator."""
+def _seeded_states(pcg: list, lanes: np.ndarray, steps: int) -> list[tuple[int, int]]:
+    """The ``(state, inc)`` of the generators ``pcg`` on the boolean mask
+    ``lanes`` as 128-bit ints, each state stepped back ``steps`` times to
+    where seeding left it.
+
+    One step back is ``state = (state - inc)*MULT^-1`` mod 2**128; ``steps``
+    of them are ``state = (state - inc*(1 + MULT + ... + MULT^(steps-1)))
+    * MULT^-steps``, one affine map per lane whatever ``steps`` is.
+    """
+    inverse = pow(_PCG64_INVERSE, steps, 1 << 128)
+    offset = sum(pow(_PCG64_MULT, k, 1 << 128) for k in range(steps))
+    state_hi, state_lo, inc_hi, inc_lo = (a[lanes].tolist() for a in pcg)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(state_hi, state_lo, inc_hi, inc_lo):
+        inc = i_hi << 64 | i_lo
+        states.append((((s_hi << 64 | s_lo) - inc * offset) * inverse & _MASK128, inc))
+    return states
+
+
+def _scalar_draws(states: list[tuple[int, int]], width: int) -> np.ndarray:
+    """The ``width`` draws of the generator at each ``(state, inc)`` of
+    ``states``, one row each, by setting it on one reused generator."""
     import numpy as np
 
-    state_hi, state_lo, inc_hi, inc_lo = (a.tolist() for a in _pcg64_states(seed, index))
-    raw = np.empty((len(index), width))
+    raw = np.empty((len(states), width))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     state = {"state": 0, "inc": 0}
     setting = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-    for row, s_hi, s_lo, i_hi, i_lo in zip(raw, state_hi, state_lo, inc_hi, inc_lo):
-        state["state"], state["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+    for row, (s, inc) in zip(raw, states):
+        state["state"], state["inc"] = s, inc
         bitgen.state = setting
         gen.standard_normal(out=row[:2])
         if width > 2:
@@ -357,7 +375,6 @@ def _probe_tables():
 
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    inverse = pow(_PCG64_MULT, -1, 1 << 128)
     state = {"state": 0, "inc": 0}
     setting = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
     wi, normals = [], np.empty(2)
@@ -369,7 +386,7 @@ def _probe_tables():
         first = j & 0xFF | 1 << 9
         second = (j - 1 | (estimate[j - 1] - 1) << 9) if estimate[j - 1] else first
         inc = (second - first * _PCG64_MULT) & _MASK128
-        state["state"], state["inc"] = (first - inc) * inverse & _MASK128, inc
+        state["state"], state["inc"] = (first - inc) * _PCG64_INVERSE & _MASK128, inc
         bitgen.state = setting
         gen.standard_normal(out=normals)
         wi.append(float(normals[0]))
@@ -388,8 +405,10 @@ def _ziggurat() -> tuple:
 
     wi, ki = _probe_tables()
     index = np.arange(64)
-    raw, flagged = _array_draws(0, index, 3, (wi, ki))
-    want = _scalar_draws(0, index, 3)
+    raw, flagged, _ = _array_draws(0, index, 3, (wi, ki))
+    # With ki all zero no draw takes the fast path, so every household's
+    # seeded state comes back, stepped back as the flagged ones are.
+    want = _scalar_draws(_array_draws(0, index, 3, (wi, np.zeros_like(ki)))[2], 3)
     if (raw[~flagged].view(np.uint64) != want[~flagged].view(np.uint64)).any():
         ki = np.zeros_like(ki)
     return wi, ki
@@ -429,9 +448,9 @@ def _draw(spec: PopulationSpec, index: np.ndarray) -> tuple:
 
     ranged = [name for name in PREFERENCES if isinstance(getattr(spec, name), tuple)]
     width = 2 + len(ranged)
-    raw, flagged = _array_draws(spec.seed, index, width, _ziggurat())
-    if flagged.any():
-        raw[flagged] = _scalar_draws(spec.seed, index[flagged], width)
+    raw, flagged, states = _array_draws(spec.seed, index, width, _ziggurat())
+    if states:
+        raw[flagged] = _scalar_draws(states, width)
 
     values = {name: float(getattr(spec, name)) for name in PREFERENCES if name not in ranged}
     for j, name in enumerate(ranged, start=2):

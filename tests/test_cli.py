@@ -380,12 +380,17 @@ class TestReadme:
 
 class TestSolveOnlyImports:
     def test_solve_only_commands_never_load_numpy(self, tmp_path):
-        # Only sampling needs numpy; the solve, statics, threshold and sweep
-        # commands must not pay for loading it.
+        # Only sampling needs numpy and the sampler, and only the tests the
+        # oracles; the solve, statics, threshold and sweep commands must not
+        # pay for loading any of them. The population command loads the
+        # sampler.
         script = textwrap.dedent(f"""
             import sys
             from pathlib import Path
             from fertgames.cli import run_command
+            def loaded():
+                return [name for name in ("numpy", "fertgames.population", "fertgames.oracle")
+                        if name in sys.modules]
             for scn in sorted(Path({str(SCENARIOS)!r}).glob("*.scn")):
                 assert run_command(["solve", str(scn)]) == 0, scn
             assert run_command(["statics", {GAME_ANCHOR!r}]) == 0
@@ -393,7 +398,9 @@ class TestSolveOnlyImports:
             assert run_command(["sweep", {GAME_ANCHOR!r}, "--param", "a_w",
                                 "--from", "0.5", "--to", "7", "--steps", "13",
                                 "--out", "sweep.csv", "--svg", "sweep.svg"]) == 0
-            print("numpy loaded:", "numpy" in sys.modules)
+            print("loaded:", loaded())
+            assert run_command(["population", {GAME_ANCHOR!r}, "--households", "20"]) == 0
+            print("loaded:", loaded())
         """)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -401,7 +408,8 @@ class TestSolveOnlyImports:
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
+        lines = [line for line in proc.stdout.splitlines() if line.startswith("loaded:")]
+        assert lines == ["loaded: []", "loaded: ['numpy', 'fertgames.population']"]
 
 
 class TestConsoleScript:
