@@ -11,11 +11,12 @@ every household's PCG64 state at once by numpy's SeedSequence and PCG64
 seeding, steps the generators as 64-bit halves of arrays, and turns their
 outputs into draws by the fast path of numpy's ziggurat (O'Neill's PCG,
 HMC-CS-2014-0905; Marsaglia and Tsang, J. Stat. Softw. 2000). The ziggurat's
-tables are read out of the installed numpy on first use. The about 3% of
-households whose normals leave the fast path, and every household if the
-first-use check finds a difference, are drawn by setting their seeded
-states, stepped back from where the array draws left them, on one reused
-generator.
+tables are read out of the installed numpy on first use. The households
+whose normals leave the fast path (2.9% over seeds 0 to 19), and every
+household if the first-use check finds a difference, are drawn by setting
+their seeded states, kept from before the array draws, on one reused
+generator. Deciles rank the income ratios with numpy's default sort, and
+with a stable sort only where two ratios are equal.
 
 A population is walked once, in slices of ``_CHUNK`` households: each
 slice is drawn, solved and reduced to its fertility, transfer and income
@@ -294,10 +295,12 @@ def _array_draws(seed: int, index: np.ndarray, width: int, tables: tuple):
     ``index`` (two standard normals, then uniforms) as array arithmetic, one
     row each; the households whose normals leave the ziggurat's fast path,
     whose rows hold no valid draw; and the seeded ``(state, inc)`` of each of
-    those, in index order, for :func:`_scalar_draws`."""
+    those, in index order, for :func:`_scalar_draws`, read from a copy of the
+    state halves kept before the draws step them."""
     import numpy as np
 
     pcg = _pcg64_states(seed, index)
+    seeded = [half.copy() for half in pcg[:2]]
     raw = np.empty((len(index), width))
     fast = np.ones(len(index), dtype=bool)
     for j in range(width):
@@ -309,26 +312,10 @@ def _array_draws(seed: int, index: np.ndarray, width: int, tables: tuple):
             r >>= np.uint64(11)
             raw[:, j] = r * 2.0**-53
     flagged = ~fast
-    return raw, flagged, _seeded_states(pcg, flagged, width)
-
-
-def _seeded_states(pcg: list, lanes: np.ndarray, steps: int) -> list[tuple[int, int]]:
-    """The ``(state, inc)`` of the generators ``pcg`` on the boolean mask
-    ``lanes`` as 128-bit ints, each state stepped back ``steps`` times to
-    where seeding left it.
-
-    One step back is ``state = (state - inc)*MULT^-1`` mod 2**128; ``steps``
-    of them are ``state = (state - inc*(1 + MULT + ... + MULT^(steps-1)))
-    * MULT^-steps``, one affine map per lane whatever ``steps`` is.
-    """
-    inverse = pow(_PCG64_INVERSE, steps, 1 << 128)
-    offset = sum(pow(_PCG64_MULT, k, 1 << 128) for k in range(steps))
-    state_hi, state_lo, inc_hi, inc_lo = (a[lanes].tolist() for a in pcg)
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(state_hi, state_lo, inc_hi, inc_lo):
-        inc = i_hi << 64 | i_lo
-        states.append((((s_hi << 64 | s_lo) - inc * offset) * inverse & _MASK128, inc))
-    return states
+    state_hi, state_lo, inc_hi, inc_lo = (half[flagged].tolist() for half in seeded + pcg[2:])
+    states = [(s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+              for s_hi, s_lo, i_hi, i_lo in zip(state_hi, state_lo, inc_hi, inc_lo)]
+    return raw, flagged, states
 
 
 def _scalar_draws(states: list[tuple[int, int]], width: int) -> np.ndarray:
@@ -359,17 +346,20 @@ def _output_of(state: int) -> int:
 
 def _probe_tables():
     """numpy's ziggurat tables ``wi`` and ``ki``, read out of the installed
-    numpy by crafted states, with ``ki`` zero at ``idx`` 0 (the tail), at 1
-    (``ki[1] = 0``) and wherever a probe fails, so that those indices are
-    always left to the scalar route.
+    numpy by crafted states, with ``ki`` zero at ``idx`` 1 (``ki[1] = 0``)
+    and wherever a probe fails, so that those indices are always left to the
+    scalar route.
 
-    Probe ``j`` sets the state and increment whose first two outputs are
-    chosen (states with a zero high half output their low half) and draws
-    two normals. The first output, ``j | 1 << 9``, gives ``wi[j]``. The
-    second tests ``ki[j - 1]``, which is ``floor(2**52*wi[j-2]/wi[j-1])`` to
-    within one, at ``rabs`` one below that estimate. Both normals took the
-    fast path exactly when the next raw output is the stream's third, and
-    ``ki[i]`` is kept only if probes ``i`` and ``i + 1`` both did.
+    A probe sets the state and increment whose first two outputs are chosen
+    (states with a zero high half output their low half) and draws two
+    normals; both took the fast path exactly when the next raw output is the
+    stream's third. Probe ``j`` reads ``wi[j]`` from its first output,
+    ``j | 1 << 9``, and its second tests ``ki[j - 1]``, which is
+    ``floor(2**52*wi[j-2]/wi[j-1])`` to within one, at ``rabs`` one below
+    that estimate. ``ki[0]`` is estimated the same way from ``wi[255]``, so a
+    last probe tests it with ``ki[255]``. ``ki[i]`` is kept only if the probe
+    that read ``wi[i]`` and the one that tested ``ki[i]`` both took the fast
+    path.
     """
     import numpy as np
 
@@ -377,22 +367,35 @@ def _probe_tables():
     gen = np.random.Generator(bitgen)
     state = {"state": 0, "inc": 0}
     setting = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-    wi, normals = [], np.empty(2)
-    estimate, fast = [0] * 257, [False] * 257
-    for j in range(257):
-        if j >= 3:
-            k = math.ldexp(wi[j - 2] / wi[j - 1], 52) if wi[j - 1] > 0 else 0.0
-            estimate[j - 1] = math.floor(k) if 2 <= k < 2**52 else 0
-        first = j & 0xFF | 1 << 9
-        second = (j - 1 | (estimate[j - 1] - 1) << 9) if estimate[j - 1] else first
+    normals = np.empty(2)
+
+    def probe(first: int, second: int) -> bool:
         inc = (second - first * _PCG64_MULT) & _MASK128
         state["state"], state["inc"] = (first - inc) * _PCG64_INVERSE & _MASK128, inc
         bitgen.state = setting
         gen.standard_normal(out=normals)
+        return int(bitgen.random_raw()) == _output_of((second * _PCG64_MULT + inc) & _MASK128)
+
+    def estimate(i: int) -> int:
+        k = math.ldexp(wi[i - 1] / wi[i], 52) if wi[i] > 0 else 0.0
+        return math.floor(k) if 2 <= k < 2**52 else 0
+
+    def test(i: int, otherwise: int) -> int:
+        return i | (ki[i] - 1) << 9 if ki[i] else otherwise
+
+    wi, ki, fast = [], [0] * 256, []
+    for j in range(256):
+        if j >= 2:
+            ki[j - 1] = estimate(j - 1)
+        first = j | 1 << 9
+        fast.append(probe(first, test(j - 1, first)))
         wi.append(float(normals[0]))
-        fast[j] = int(bitgen.random_raw()) == _output_of((second * _PCG64_MULT + inc) & _MASK128)
-    ki = [k if fast[i] and fast[i + 1] else 0 for i, k in enumerate(estimate[:256])]
-    return np.array(wi[:256]), np.array(ki, dtype=np.uint64)
+    # With wi[255] read, ki[255] and ki[0] are estimated; one probe tests both.
+    ki[255], ki[0] = estimate(255), estimate(0)
+    first = test(0, 1 << 9)
+    fast.append(probe(first, test(255, first)))
+    ki = [k if fast[i] and fast[i + 1 if i else 256] else 0 for i, k in enumerate(ki)]
+    return np.array(wi), np.array(ki, dtype=np.uint64)
 
 
 @functools.cache
@@ -407,7 +410,7 @@ def _ziggurat() -> tuple:
     index = np.arange(64)
     raw, flagged, _ = _array_draws(0, index, 3, (wi, ki))
     # With ki all zero no draw takes the fast path, so every household's
-    # seeded state comes back, stepped back as the flagged ones are.
+    # seeded state comes back, read from the kept copy as the flagged ones are.
     want = _scalar_draws(_array_draws(0, index, 3, (wi, np.zeros_like(ki)))[2], 3)
     if (raw[~flagged].view(np.uint64) != want[~flagged].view(np.uint64)).any():
         ki = np.zeros_like(ki)
@@ -540,6 +543,20 @@ def _left_sum(values: np.ndarray, total: float | None = None) -> float | None:
     return float(values.cumsum()[-1]) if len(values) else total
 
 
+def _ratio_order(ratios: np.ndarray) -> np.ndarray:
+    """The indices that sort ``ratios``, equal ratios in index order.
+    numpy's default sort, vectorised where the CPU allows, is not stable, so
+    the stable sort runs only when two sorted neighbours are equal."""
+    import numpy as np
+
+    order = np.argsort(ratios)
+    ordered = ratios[order]
+    if not (ordered[1:] == ordered[:-1]).any():
+        return order
+    del order, ordered
+    return np.argsort(ratios, kind="stable")
+
+
 def aggregate(spec: PopulationSpec) -> AggregateReport:
     """Sample, solve and aggregate one population, one slice at a time.
 
@@ -571,7 +588,7 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
         sums = [_left_sum(v, total) for v, total in zip((n_chunk, ratios[chunk], transfers), sums)]
     fertility_sum, ratio_sum, transfer_sum = sums
     # The fertilities in income-ratio order take the place of the ratios.
-    ranked = np.take(n, np.argsort(ratios, kind="stable"), out=ratios)
+    ranked = np.take(n, _ratio_order(ratios), out=ratios)
     # Bucket b holds the ranks with rank*10//count == b.
     bounds = [-(-b * count // 10) for b in range(11)]
     decile_counts = tuple(bounds[b + 1] - bounds[b] for b in range(10))

@@ -190,6 +190,20 @@ class TestBatchedSampling:
             monkeypatch.setattr(population, "_CHUNK", chunk)
             assert repr(aggregate(spec)) == want
 
+    @pytest.mark.parametrize("model,subsidy", [
+        ("benchmark", 0.0), ("game", 0.0), ("extended", 0.0), ("game", 0.5)])
+    def test_tied_ratios_rank_by_index(self, monkeypatch, model, subsidy):
+        # sigma = 1e-16 leaves five distinct wife's incomes, each shared by
+        # many households, so the deciles depend on how ties are ordered.
+        spec = PopulationSpec(count=3001, seed=5, aw_dist=LogNormalSpec(1.0, 1e-16),
+                              am_dist=LogNormalSpec(math.log(3.0), 0.0), alpha=(1.5, 3.0),
+                              delta=1.0, gamma=1.0, beta=1.0, model=model, subsidy=subsidy)
+        assert len({p.a_w / p.a_m for p in sample_households(spec)}) == 5
+        want = repr(reference_aggregate(spec))
+        for chunk in (population._CHUNK, 64):
+            monkeypatch.setattr(population, "_CHUNK", chunk)
+            assert repr(aggregate(spec)) == want
+
     def test_first_invalid_draw_raises_like_validate_params(self):
         # sigma = 500 sends about a third of the incomes to inf or 0.
         spec = PopulationSpec(count=50, seed=0, aw_dist=LogNormalSpec(0.0, 500.0),
@@ -214,9 +228,10 @@ class TestBatchedSampling:
 
 def ziggurat_paths(seed: int, index: int) -> list[str]:
     """The path numpy's ziggurat took for each income normal of household
-    ``index``: "fast", "tail" (``idx = 0`` past the base strip), "idx1",
-    "wedge" (accepted on the first try) or "loop" (rejected and drawn
-    again), read from how many raw outputs each normal consumed."""
+    ``index``: "fast", "base" (``idx = 0`` inside the base strip, on the
+    fast path), "tail" (``idx = 0`` past the base strip), "idx1", "wedge"
+    (accepted on the first try) or "loop" (rejected and drawn again), read
+    from how many raw outputs each normal consumed."""
     walker = np.random.PCG64([seed, index])
     outputs, states = [], []
     for _ in range(32):
@@ -228,8 +243,10 @@ def ziggurat_paths(seed: int, index: int) -> list[str]:
         gen.standard_normal()
         now = states.index(gen.bit_generator.state["state"]["state"]) + 1
         idx, consumed = outputs[used] & 0xFF, now - used
-        paths.append("tail" if idx == 0 and consumed > 1 else "idx1" if idx == 1
-                     else ("fast", "wedge", "loop")[min(consumed, 3) - 1])
+        if idx == 0:
+            paths.append("base" if consumed == 1 else "tail")
+        else:
+            paths.append("idx1" if idx == 1 else ("fast", "wedge", "loop")[min(consumed, 3) - 1])
         used = now
     return paths
 
@@ -253,6 +270,25 @@ def slow_households():
     raise AssertionError(f"only found {sorted(found)}")
 
 
+def ziggurat_household(monkeypatch, seed: int, index: int) -> bool:
+    """Whether the array draws flag household ``index`` of a
+    ``ZIGGURAT_COUNT`` population of ``seed``, after checking that its draw
+    and the population's report match ``default_rng([seed, i])``."""
+    spec = PopulationSpec(count=ZIGGURAT_COUNT, seed=seed,
+                          aw_dist=LogNormalSpec(0.3, 0.7),
+                          am_dist=LogNormalSpec(-0.1, 0.4), **RANGED_PREFS)
+    flagged = population._array_draws(seed, np.array([index]), 5,
+                                      population._ziggurat())[1]
+    want, want_report = reference_household(spec, index), repr(reference_aggregate(spec))
+    # Slices of 8 put the household in the first, second or third slice.
+    for chunk in (population._CHUNK, 8):
+        monkeypatch.setattr(population, "_CHUNK", chunk)
+        assert sample_household(spec, index) == want
+        assert sample_households(spec)[index] == want
+        assert repr(aggregate(spec)) == want_report
+    return bool(flagged.all())
+
+
 class TestZigguratPaths:
     """Households whose normals leave the ziggurat's fast path are drawn by
     the scalar route, and match ``default_rng([seed, i])`` as the others do."""
@@ -261,20 +297,15 @@ class TestZigguratPaths:
                              ids=[f"{path}-{('first', 'second')[n]}" for n, path in SLOW_PATHS])
     def test_slow_path_matches_default_rng(self, monkeypatch, slow_households,
                                            normal, path):
-        seed, index = slow_households[normal, path]
-        spec = PopulationSpec(count=ZIGGURAT_COUNT, seed=seed,
-                              aw_dist=LogNormalSpec(0.3, 0.7),
-                              am_dist=LogNormalSpec(-0.1, 0.4), **RANGED_PREFS)
-        flagged = population._array_draws(seed, np.array([index]), 5,
-                                          population._ziggurat())[1]
-        assert flagged.all()
-        want, want_report = reference_household(spec, index), repr(reference_aggregate(spec))
-        # Slices of 8 put the household in the first, second or third slice.
-        for chunk in (population._CHUNK, 8):
-            monkeypatch.setattr(population, "_CHUNK", chunk)
-            assert sample_household(spec, index) == want
-            assert sample_households(spec)[index] == want
-            assert repr(aggregate(spec)) == want_report
+        assert ziggurat_household(monkeypatch, *slow_households[normal, path])
+
+    def test_base_strip_stays_on_the_arrays(self, monkeypatch):
+        """An ``idx = 0`` normal inside the base strip is on numpy's fast
+        path, so its household is drawn as arrays, not flagged."""
+        seed, index = next(
+            (seed, i) for seed in range(500) for i in range(ZIGGURAT_COUNT)
+            if "base" in (paths := ziggurat_paths(seed, i)) and set(paths) <= {"base", "fast"})
+        assert not ziggurat_household(monkeypatch, seed, index)
 
     def test_bad_table_leaves_every_household_to_the_scalar_route(self, monkeypatch):
         wi, ki = population._probe_tables()
