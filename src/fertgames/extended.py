@@ -44,8 +44,8 @@ or overflow runs only under ``if x.any(mask)``: on floats that is the branch
 a scalar solve takes; on arrays the step runs on every lane and
 ``x.where(mask, new, old)`` keeps it on the lanes of ``mask``. Each refusal
 clears a lane of one ``ok`` mask, which later steps respect; where ``ok`` is
-false the float entries raise NumericalFailure, and the array entry leaves
-the household to them.
+false the float entries raise NumericalFailure, and the array entry reports
+the household as refused. Both routes refuse the same households.
 
 With one admissible root in every model, the cultural regimes "low" and
 "high" (smallest or largest admissible root) coincide.
@@ -74,19 +74,18 @@ _NEWTON_STEPS = 8
 _TINY = sys.float_info.min
 _THIRD = 1.0 / 3.0
 _TURNS = tuple(2.0 * math.pi * j / 3.0 for j in range(3))
-_PAID_AND_SUBSIDY = "a leader solve takes a rearing cost or a subsidy, not both"
 
 
 @dataclass(frozen=True)
 class ExtendedEquilibrium:
-    """Root classification and induced allocation of the extended game.
+    """Root and induced allocation of the extended game.
 
-    ``real_roots`` and ``positive_roots`` describe the cubic in the
-    transfer. ``selected_rho`` is the root that beats the no-birth corner,
-    None when none does.
+    ``positive_roots`` holds the one positive root of the cubic in the
+    transfer (Descartes' rule); it is a tuple for the ``root_count`` column.
+    ``selected_rho`` is that root where it beats the no-birth corner, None
+    where it does not.
     """
 
-    real_roots: tuple[float, ...]
     positive_roots: tuple[float, ...]
     selected_rho: float | None
     n_star: float
@@ -107,11 +106,10 @@ def _operations(**ops):
     return space
 
 
-def _float_roots(coeffs, e, ok):
-    """The roots of the leader cubic by :func:`real_roots`, scaled by
-    ``2**e``, the largest of them and ``ok``."""
-    roots = tuple([math.ldexp(z, e) for z in real_roots(coeffs)])
-    return roots, roots[-1], ok
+def _float_largest(coeffs, e, ok):
+    """The largest root of the leader cubic by :func:`real_roots`, scaled by
+    ``2**e``, and ``ok``."""
+    return math.ldexp(real_roots(coeffs)[-1], e), ok
 
 
 # larger(a, b) and smaller(a, b) are max(a, b) and min(a, b), on floats and
@@ -121,7 +119,7 @@ _FLOATS = _operations(
     larger=lambda a, b: b if b > a else a, smaller=lambda a, b: b if b < a else a,
     sort=sorted, sqrt=math.sqrt, copysign=math.copysign, ldexp=math.ldexp,
     frexp=math.frexp, pow=pow, acos=math.acos, cos=math.cos, log=math.log,
-    log1p=math.log1p, isfinite=math.isfinite, roots=_float_roots)
+    log1p=math.log1p, isfinite=math.isfinite, largest=_float_largest)
 
 
 @functools.cache
@@ -145,14 +143,13 @@ def _arrays():
             return tuple([np.where(mask, u, v) for u, v in zip(a, b)])
         return np.where(mask, a, b)
 
-    def roots(coeffs, e, ok):
+    def largest(coeffs, e, ok):
         ok = ok & np.logical_and.reduce([np.isfinite(c) for c in coeffs])
         *zs, exp, ok = _cubic(space, *coeffs, ok)
-        scaled = np.sort(np.ldexp(np.broadcast_arrays(*zs), exp), axis=0)
-        roots = np.ldexp(scaled, e)
-        # sorted() and numpy.sort may order signed zeros differently.
-        ok &= ~(scaled == 0.0).any(axis=0) & ~np.isinf(roots).any(axis=0)
-        return roots, np.fmax.reduce(roots, axis=0), ok  # fmax skips missing roots
+        # real_roots refuses a cubic with any root beyond the float range.
+        zs = np.ldexp(np.broadcast_arrays(*zs), exp)
+        root = np.ldexp(np.fmax.reduce(zs, axis=0), e)  # fmax skips missing roots
+        return root, ok & ~np.isinf(zs).any(axis=0) & ~np.isinf(root)
 
     space = _operations(
         any=np.any, where=where, not_=np.logical_not,
@@ -160,7 +157,7 @@ def _arrays():
         sort=lambda v: np.sort(v, axis=0), sqrt=np.sqrt, copysign=np.copysign,
         ldexp=np.ldexp, frexp=np.frexp, pow=libm(pow), acos=libm(math.acos),
         cos=libm(math.cos), log=libm(math.log, lambda v: v > 0.0),
-        log1p=libm(math.log1p, lambda v: v > -1.0), isfinite=np.isfinite, roots=roots)
+        log1p=libm(math.log1p, lambda v: v > -1.0), isfinite=np.isfinite, largest=largest)
     return space
 
 
@@ -337,16 +334,17 @@ def equilibrium_transfer(p: ModelParams) -> float:
 
 
 def _leader(x, alpha, delta, gamma, a_w, a_m, paid, subsidy):
-    """``(roots, rho, n, c_w, c_m, ok)`` of :func:`leader_optimum`, with
+    """``(root, rho, n, c_w, c_m, ok)`` of :func:`leader_optimum`, with
     ``rho`` NaN at the no-birth corner; ``subsidy`` is one float."""
+    if subsidy and x.any(paid):
+        raise ValueError("a leader solve takes a rearing cost or a subsidy, not both")
     g = gamma / delta
     k = paid - subsidy
     zero, cubic = k == 0.0, k != 0.0
-    roots, r, ok = (), math.nan, True
+    r, ok = math.nan, True
     if x.any(zero):
         r, ok = transfer_root(x, alpha, delta, gamma, a_w, a_m)
         ok = ok | cubic
-        roots = (r,)
     if x.any(cubic):
         ratio = a_w / a_m
         e, aw_e, am_e = _units(x, a_w, a_m)
@@ -354,9 +352,10 @@ def _leader(x, alpha, delta, gamma, a_w, a_m, paid, subsidy):
         cubic_ok = ((ratio > 0.0) & (ratio < math.inf)
                     & (coeffs[0] != 0.0) & (coeffs[3] != 0.0))
         if x.any(cubic_ok):
-            roots, largest, cubic_ok = x.roots(coeffs, e, cubic_ok)
+            largest, cubic_ok = x.largest(coeffs, e, cubic_ok)
             r = x.where(zero, r, largest)
         ok = ok & (zero | cubic_ok)
+    root = r
 
     found = r > subsidy  # where he pays at the root; narrowed to where the root wins
     n = c_m = u = 0.0
@@ -390,16 +389,16 @@ def _leader(x, alpha, delta, gamma, a_w, a_m, paid, subsidy):
                                (0.0, math.nan, a_w, a_m))
     # A paid transfer needs a normal c_m; the wife's c_w must be finite.
     ok = ok & (x.not_(rho > 0.0) | _normal(c_m)) & x.isfinite(c_w)
-    return roots, rho, n, c_w, c_m, ok
+    return root, rho, n, c_w, c_m, ok
 
 
 def leader_optimum(
     p: ModelParams, paid: float, subsidy: float
-) -> tuple[tuple[float, ...], float | None, float, float, float]:
+) -> tuple[float, float | None, float, float, float]:
     """Husband's best transfer when he pays ``paid + rho`` and she receives
     ``r = rho + subsidy`` per child.
 
-    Returns the real roots of the leader cubic in ``r`` (at ``k = 0`` only
+    Returns the largest real root of the leader cubic in ``r`` (at ``k = 0``
     the positive root of its quadratic factor), the transfer ``rho`` (None
     at the no-birth corner), fertility and both consumptions. Raises
     NumericalFailure where the income ratio, a coefficient or a root of the
@@ -408,17 +407,15 @@ def leader_optimum(
     ``subsidy`` are nonzero: the boundary ``rho = 0`` is solved only for a
     husband who pays nothing there.
     """
-    if paid and subsidy:
-        raise ValueError(_PAID_AND_SUBSIDY)
     try:
-        roots, rho, n, c_w, c_m, ok = _leader(
+        root, rho, n, c_w, c_m, ok = _leader(
             _FLOATS, p.alpha, p.delta, p.gamma, p.a_w, p.a_m, paid, subsidy)
     except (ZeroDivisionError, OverflowError):
         ok = False
     if not ok:
         raise NumericalFailure(f"the leader optimum at {p!r} (paid {paid!r}, subsidy "
                                f"{subsidy!r}) leaves the normal float range")
-    return roots, (rho if rho == rho else None), n, c_w, c_m
+    return root, (rho if rho == rho else None), n, c_w, c_m
 
 
 def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
@@ -432,9 +429,6 @@ def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
     does, where a household pays ``paid > 0`` under a subsidy.
     """
     import numpy as np
-
-    if subsidy and np.any(paid):
-        raise ValueError(_PAID_AND_SUBSIDY)
 
     columns = np.broadcast_arrays(alpha, delta, gamma, a_w, a_m, paid)
     alpha, delta, gamma = columns[:3]
@@ -456,14 +450,13 @@ def solve_extended(p: ModelParams, regime: str) -> ExtendedEquilibrium:
     if regime not in REGIMES:
         raise ValueError(f"regime must be 'low' or 'high', got {regime!r}")
 
-    roots, rho, n, c_w, c_m = leader_optimum(p, p.beta, 0.0)
+    root, rho, n, c_w, c_m = leader_optimum(p, p.beta, 0.0)
 
     u_w, u_m = utility_linear_pair(p, c_w, c_m, n)
     wife, husband = participation(p, u_w, u_m)
     return _record(
         ExtendedEquilibrium,
-        real_roots=roots,
-        positive_roots=tuple(r for r in roots if r > 0.0),
+        positive_roots=(root,),
         selected_rho=rho,
         n_star=n,
         c_w=c_w,

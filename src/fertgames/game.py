@@ -96,9 +96,9 @@ def solve_game(p: ModelParams, subsidy: float = 0.0) -> GameEquilibrium:
     """
     if not (isinstance(subsidy, (int, float)) and math.isfinite(subsidy) and subsidy >= 0):
         raise NonPositiveParameter("subsidy", subsidy, requirement=">= 0")
-    roots, rho, n, c_w, c_m = leader_optimum(p, 0.0, subsidy)
+    root, rho, n, c_w, c_m = leader_optimum(p, 0.0, subsidy)
     if rho is None:
-        rho = 0.0 if subsidy > 0 else roots[-1]
+        rho = 0.0 if subsidy > 0 else root
     u_w, u_m = utility_linear_pair(p, c_w, c_m, n)
     wife, husband = participation(p, u_w, u_m)
     return _record(

@@ -27,9 +27,11 @@ operation order, and the leader condition that the transfer game, with or
 without a subsidy, shares with the extended model by the one body of
 :mod:`fertgames.extended` that also solves a single household. Each check of
 the scalar route (positive parameters, preference order, transfer, cubic
-range, consumption range, utility range) is an array mask; a household that
-fails one is handed to the scalar route, which raises the same error. A positive subsidy is
-solvable under the transfer game only. It is funded from general revenue: it
+range, consumption range, utility range) is an array mask, so the array
+route refuses exactly the households that the scalar route refuses. The
+first refused household of a slice is not re-solved: the scalar route runs
+on it once, only to raise its error. A positive subsidy is solvable under
+the transfer game only. It is funded from general revenue: it
 raises the wife's effective per-child receipt without touching either
 spouse's budget.
 
@@ -55,7 +57,7 @@ from .core import (
     check_subsidy,
     pooled_allocation,
 )
-from .errors import HouseholdSolveFailure, InvalidDistribution, ModelError
+from .errors import HouseholdSolveFailure, InvalidDistribution, ModelError, NumericalFailure
 from .extended import leader_optima, solve_extended
 from .game import solve_game
 
@@ -487,22 +489,25 @@ def sample_households(spec: PopulationSpec) -> list[ModelParams]:
     return [p for index in _slices(spec.count) for p in _rows(_draw(spec, index))]
 
 
-def _solve_household(spec: PopulationSpec, p: ModelParams) -> tuple[float, float | None]:
-    """Returns (fertility, transfer-or-None) for one household."""
+def _solve_household(spec: PopulationSpec, p: ModelParams):
+    """The equilibrium of one household by the scalar route of its model."""
     if spec.model == "benchmark":
-        return benchmark_solve(p).n_star, None
+        return benchmark_solve(p)
     if spec.model == "game":
-        eq = solve_game(p, spec.subsidy)
-        return eq.n_star, (eq.rho_star if eq.interior else None)
-    eq = solve_extended(p, "high")
-    return eq.n_star, eq.selected_rho if eq.interior else None
+        return solve_game(p, spec.subsidy)
+    return solve_extended(p, "high")
 
 
-def _solve_one(spec: PopulationSpec, p: ModelParams, index: int) -> tuple[float, float | None]:
+def _refuse(spec: PopulationSpec, p: ModelParams, index: int) -> None:
+    """Raises HouseholdSolveFailure for household ``index``, which the array
+    route refused, caused by the scalar route's error, or by a
+    NumericalFailure if the scalar route answers it."""
     try:
-        return _solve_household(spec, p)
+        _solve_household(spec, p)
     except ModelError as exc:
         raise HouseholdSolveFailure(index, exc, p) from exc
+    cause = NumericalFailure("the array route refuses a household the scalar route answers")
+    raise HouseholdSolveFailure(index, cause, p) from cause
 
 
 def _solve_arrays(spec: PopulationSpec, alpha, delta, gamma, beta, a_w, a_m):
@@ -511,8 +516,8 @@ def _solve_arrays(spec: PopulationSpec, alpha, delta, gamma, beta, a_w, a_m):
     ``benchmark_solve`` runs as array expressions in its scalar operation
     order, and the leader games run the body of ``leader_optimum`` on arrays,
     so every n* and rho* (None for the benchmark model) has the scalar
-    route's bits. Households outside ``ok`` are those a check of the scalar
-    route would reject.
+    route's bits. Households outside ``ok`` are those the scalar route
+    refuses.
     """
     import numpy as np
 
@@ -560,9 +565,9 @@ def _ratio_order(ratios: np.ndarray) -> np.ndarray:
 def aggregate(spec: PopulationSpec) -> AggregateReport:
     """Sample, solve and aggregate one population, one slice at a time.
 
-    Solver errors propagate wrapped in HouseholdSolveFailure carrying the
-    failing household's index and parameters; a slice's first failure is
-    raised before the next slice is drawn.
+    The first household that the solve refuses raises HouseholdSolveFailure,
+    with its index and parameters and the scalar route's error as its cause,
+    before the next slice is drawn.
     """
     import numpy as np
 
@@ -576,10 +581,9 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
         start = int(index[0])
         columns = _draw(spec, index)
         n_chunk, rho, ok = _solve_arrays(spec, *columns)
-        for i in np.flatnonzero(~ok).tolist():
-            n_chunk[i], transfer = _solve_one(spec, _params(columns, i), start + i)
-            if transfer is not None:
-                rho[i] = transfer
+        if not ok.all():
+            i = int(np.argmin(ok))
+            _refuse(spec, _params(columns, i), start + i)
         a_w, a_m = columns[4:]
         chunk = slice(start, start + len(index))
         n[chunk], ratios[chunk] = n_chunk, a_w / a_m

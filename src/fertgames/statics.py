@@ -11,10 +11,12 @@ positive terms and no subtraction cancels. In particular
 ``d n*/d delta = -(n* + a_w/F_rho)/delta < 0 < d n*/d gamma``: of the two
 channels through which the wife's aversion and consumption taste move
 fertility, the direct preference term always outweighs the induced transfer
-term. Each closed form is also certified against a central finite difference.
+term. Each closed form is also certified against a central finite difference:
+both differences in one parameter, of rho* and of n*, come from the same two
+solves at the ends of its stencil.
 
 Cells of degree zero in incomes are evaluated in the power-of-two income
-units of :func:`~fertgames.extended.equilibrium_transfer`, the transfer's
+units of :func:`~fertgames.extended.income_units`, the transfer's
 partials in preferences from the absolute transfer. Every cell is strictly
 signed at an interior point, so one that is not finite, is zero or is
 subnormal raises ``NumericalFailure``. At the zero-fertility corner the clamp
@@ -25,13 +27,11 @@ makes n* non-differentiable, so statics on n raise ``BoundaryStatics`` there
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
-from functools import wraps
 
 from .core import ModelParams, _record, check_finite
 from .errors import BoundaryStatics, NumericalFailure
-from .extended import equilibrium_transfer, income_units
+from .extended import _normal, income_units
 from .game import GameEquilibrium, solve_game
 
 PARTIAL_KEYS = ("alpha", "delta", "gamma", "a_w", "a_m")
@@ -72,63 +72,64 @@ class StaticsReport:
     ratio_fd: float
 
 
-def _finite(fn):
-    """``fn``, refusing with NumericalFailure where it divides by a value that
-    underflows to zero or returns a value that is not finite."""
-
-    @wraps(fn)
-    def checked(*args):
-        try:
-            out = fn(*args)
-        except ZeroDivisionError:
-            raise NumericalFailure(f"{fn.__name__}: a divisor underflows to zero") from None
-        check_finite(fn.__name__, out)
-        return out
-
-    return checked
+def _difference(name: str, hi: float, lo: float, h: float) -> float:
+    """The central difference ``(hi - lo)/(2*h)`` of ``name``, refused with
+    NumericalFailure where ``2*h`` underflows to zero or the difference is
+    not finite."""
+    try:
+        out = (hi - lo) / (2.0 * h)
+    except ZeroDivisionError:
+        raise NumericalFailure(f"{name}: a divisor underflows to zero") from None
+    check_finite(name, out)
+    return out
 
 
-def _interior(p: ModelParams) -> GameEquilibrium:
-    """The game's equilibrium, refused at the non-differentiable corner."""
-    eq = solve_game(p)
+def _interior(eq: GameEquilibrium) -> GameEquilibrium:
+    """``eq``, refused at the non-differentiable corner."""
     if not eq.interior:
         raise BoundaryStatics("fertility is clamped at zero at this point")
     return eq
 
 
-@_finite
 def ratio_fd(p: ModelParams) -> float:
     """Central finite difference of n* in the income ratio, husband fixed."""
     ratio = p.income_ratio
     h = _FD_RELATIVE_STEP * ratio
-    hi = _interior(replace(p, a_w=(ratio + h) * p.a_m)).n_star
-    lo = _interior(replace(p, a_w=(ratio - h) * p.a_m)).n_star
-    return (hi - lo) / (2.0 * h)
+    hi = _interior(solve_game(replace(p, a_w=(ratio + h) * p.a_m))).n_star
+    lo = _interior(solve_game(replace(p, a_w=(ratio - h) * p.a_m))).n_star
+    return _difference("ratio_fd", hi, lo, h)
 
 
-def _target_value(p: ModelParams, target: str) -> float:
-    if target == "rho":
-        return equilibrium_transfer(p)
+def _stencil(p: ModelParams, param: str) -> tuple[GameEquilibrium, GameEquilibrium, float]:
+    """The games at both ends of the central difference in ``param``, and
+    its step."""
+    x = getattr(p, param)
+    h = _FD_RELATIVE_STEP * x
+    return solve_game(replace(p, **{param: x + h})), solve_game(replace(p, **{param: x - h})), h
+
+
+def _fd(stencil: tuple[GameEquilibrium, GameEquilibrium, float], target: str) -> float:
+    """The central difference of rho* (``target`` 'rho') or n* ('n') over
+    ``stencil``."""
+    hi, lo, h = stencil
     if target == "n":
-        return _interior(p).n_star
-    raise ValueError(f"target must be 'rho' or 'n', got {target!r}")
+        return _difference("fd_check", _interior(hi).n_star, _interior(lo).n_star, h)
+    return _difference("fd_check", hi.rho_star, lo.rho_star, h)
 
 
-@_finite
 def fd_check(p: ModelParams, target: str, param: str) -> float:
     """Central finite difference of rho* or n* in one parameter.
 
-    The step is 1e-6 times the parameter value. For target 'n' the stencil
-    must not cross the zero-fertility kink; BoundaryStatics is raised when
-    it does.
+    The step is 1e-6 times the parameter value. Without a subsidy rho* is
+    the root of the husband's quadratic at the corner too, so its difference
+    may cross the zero-fertility kink; for target 'n' the stencil must not,
+    and BoundaryStatics is raised when it does.
     """
     if param not in PARTIAL_KEYS:
         raise ValueError(f"param must be one of {PARTIAL_KEYS}, got {param!r}")
-    x = getattr(p, param)
-    h = _FD_RELATIVE_STEP * x
-    hi = _target_value(replace(p, **{param: x + h}), target)
-    lo = _target_value(replace(p, **{param: x - h}), target)
-    return (hi - lo) / (2.0 * h)
+    if target not in ("rho", "n"):
+        raise ValueError(f"target must be 'rho' or 'n', got {target!r}")
+    return _fd(_stencil(p, param), target)
 
 
 def build_report(p: ModelParams) -> StaticsReport:
@@ -137,7 +138,7 @@ def build_report(p: ModelParams) -> StaticsReport:
     Raises BoundaryStatics at the zero-fertility corner, and NumericalFailure
     where an analytic cell is not finite, is zero or is subnormal.
     """
-    eq = _interior(p)
+    eq = _interior(solve_game(p))
     rho = eq.rho_star
     e, a_w, a_m = income_units(p)
     try:
@@ -180,8 +181,9 @@ def build_report(p: ModelParams) -> StaticsReport:
     cells = (radicand, ratio_partial, *partial_rho.values(), *partial_n.values(),
              delta_regime.transfer_term, delta_regime.preference_term,
              gamma_regime.transfer_term, gamma_regime.preference_term)
-    if not all(sys.float_info.min <= abs(v) < math.inf for v in cells):
+    if not all(_normal(abs(v)) for v in cells):
         raise NumericalFailure(f"a statics cell leaves the normal float range: {cells!r}")
+    stencils = [_stencil(p, k) for k in PARTIAL_KEYS]
     return _record(
         StaticsReport,
         radicand=radicand,
@@ -189,8 +191,8 @@ def build_report(p: ModelParams) -> StaticsReport:
         n_star=eq.n_star,
         partial_rho=partial_rho,
         partial_n=partial_n,
-        fd_rho={k: fd_check(p, "rho", k) for k in PARTIAL_KEYS},
-        fd_n={k: fd_check(p, "n", k) for k in PARTIAL_KEYS},
+        fd_rho={k: _fd(ends, "rho") for k, ends in zip(PARTIAL_KEYS, stencils)},
+        fd_n={k: _fd(ends, "n") for k, ends in zip(PARTIAL_KEYS, stencils)},
         delta_regime=delta_regime,
         gamma_regime=gamma_regime,
         ratio_partial=ratio_partial,

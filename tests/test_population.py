@@ -16,12 +16,15 @@ from fertgames import (
     NumericalFailure,
     PopulationSpec,
     aggregate,
+    benchmark_solve,
+    real_roots,
     sample_households,
+    solve_extended,
     solve_game,
 )
 from conftest import LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY, UTILITY_OVERFLOW
 from fertgames import population
-from fertgames.extended import leader_optima, leader_optimum
+from fertgames.extended import _leader_cubic, income_units, leader_optima, leader_optimum
 from fertgames.population import _solve_arrays, _solve_household, sample_household
 
 POINT = LogNormalSpec(mu=0.0, sigma=0.0)
@@ -57,12 +60,24 @@ def left_sum(values) -> float:
     return total
 
 
+def reference_solve(spec: PopulationSpec, p: ModelParams) -> tuple[float, float | None]:
+    """``(n*, rho*)`` of one household by the scalar route of its model, with
+    rho* None for the benchmark model and at the no-birth corner."""
+    if spec.model == "benchmark":
+        return benchmark_solve(p).n_star, None
+    if spec.model == "game":
+        eq = solve_game(p, spec.subsidy)
+        return eq.n_star, (eq.rho_star if eq.interior else None)
+    eq = solve_extended(p, "high")
+    return eq.n_star, eq.selected_rho if eq.interior else None
+
+
 def reference_aggregate(spec: PopulationSpec) -> AggregateReport:
     """One household at a time: scalar draw, scalar solve, sorted deciles."""
     fertility, transfers, ratios = [], [], []
     for i in range(spec.count):
         p = reference_household(spec, i)
-        n, rho = _solve_household(spec, p)
+        n, rho = reference_solve(spec, p)
         fertility.append(n)
         if rho is not None:
             transfers.append(rho)
@@ -542,13 +557,17 @@ def scalar_leader(columns, subsidy: float, game: bool = False):
     rows, seen = [], {"three roots": 0, "boundary": 0, "corner": 0}
     for values in zip(*(c.tolist() for c in columns)):
         p = ModelParams(*values)
+        paid = 0.0 if subsidy or game else p.beta
         try:
-            roots, rho, n, c_w, c_m = leader_optimum(
-                p, 0.0 if subsidy or game else p.beta, subsidy)
+            _, rho, n, c_w, c_m = leader_optimum(p, paid, subsidy)
         except ModelError:
             rows.append(None)
             continue
-        seen["three roots"] += len(roots) == 3
+        if paid != subsidy:  # at k = 0 the cubic is left unsolved
+            e, a_w, a_m = income_units(p)
+            cubic = _leader_cubic(p.gamma / p.delta, p.alpha, a_w, a_m,
+                                  math.ldexp(paid - subsidy, -e))
+            seen["three roots"] += len(real_roots(cubic)) == 3
         seen["boundary"] += rho == 0.0
         seen["corner"] += rho is None
         rows.append((n, math.nan if rho is None else rho, c_w, c_m))
@@ -654,41 +673,49 @@ class TestBatchedLeader:
 @pytest.mark.parametrize("model,subsidy", [
     ("benchmark", 0.0), ("game", 0.0), ("extended", 0.0), ("game", 0.5)])
 def test_array_route_answers_only_what_scalar_route_answers(model, subsidy):
+    # And refuses only what the scalar route refuses: aggregate does not
+    # solve a refused household again.
     spec = point_spec(1.0, 1.0, model=model, subsidy=subsidy)
     columns = log_uniform_households([SEED_LEADER, 3], E150, 3000)
     ok = _solve_arrays(spec, *columns)[-1]
-    refused = []
-    for i in np.flatnonzero(ok).tolist():
+    refused, answered = [], []
+    for i, lane_ok in enumerate(ok.tolist()):
         try:
             _solve_household(spec, ModelParams(*(float(c[i]) for c in columns)))
         except ModelError:
-            refused.append(i)
+            if lane_ok:
+                refused.append(i)
+        else:
+            if not lane_ok:
+                answered.append(i)
     assert ok.any() and refused == []
+    assert not ok.all() and answered == []
 
 
-@pytest.mark.parametrize("model,subsidy", [("game", 0.0), ("extended", 0.0), ("game", 0.5)])
-def test_aggregate_answers_households_the_array_route_leaves(monkeypatch, model, subsidy):
-    # Slices of 64: households 3 and 17 sit in the first slice, 200 and 250
-    # at lanes 8 and 58 of the fourth.
+@pytest.mark.parametrize("model,subsidy", [
+    ("benchmark", 0.0), ("game", 0.0), ("extended", 0.0), ("game", 0.5)])
+def test_aggregate_reports_a_household_the_array_route_refuses(monkeypatch, model, subsidy):
+    # Slices of 64: households 200 and 250 sit at lanes 8 and 58 of the
+    # fourth. The scalar route answers both.
     spec = PopulationSpec(count=300, seed=5, aw_dist=LogNormalSpec(0.0, 0.6),
                           am_dist=LogNormalSpec(math.log(3.0), 0.5), model=model,
                           subsidy=subsidy, **RANGED_PREFS)
-    left = {0: [3, 17], 3: [8, 58]}
-    assert all(_solve_household(spec, sample_household(spec, i))[0] > 0.0
-               for i in (3, 17, 200, 250))
+    assert all(reference_solve(spec, sample_household(spec, i))[0] > 0.0 for i in (200, 250))
     monkeypatch.setattr(population, "_CHUNK", 64)
-    want = repr(aggregate(spec))
     solve_arrays, slices = population._solve_arrays, []
 
-    def leaving(spec, *columns):
-        # The array route leaves these lanes to the scalar route, with NaN
-        # where it would have written n and rho.
+    def refusing(spec, *columns):
         n, rho, ok = solve_arrays(spec, *columns)
-        lanes = left.get(len(slices), [])
-        slices.append(lanes)
-        n[lanes], rho[lanes], ok[lanes] = math.nan, math.nan, False
+        if len(slices) == 3:
+            ok[[8, 58]] = False
+        slices.append(len(n))
         return n, rho, ok
 
-    monkeypatch.setattr(population, "_solve_arrays", leaving)
-    assert repr(aggregate(spec)) == want
-    assert len(slices) == 5
+    monkeypatch.setattr(population, "_solve_arrays", refusing)
+    with pytest.raises(HouseholdSolveFailure) as exc:
+        aggregate(spec)
+    assert exc.value.index == 200
+    assert exc.value.params == sample_household(spec, 200)
+    assert isinstance(exc.value.__cause__, NumericalFailure)
+    assert "the scalar route answers" in str(exc.value)
+    assert slices == [64] * 4
