@@ -13,7 +13,7 @@ cubic in ``r``:
     (G/a_w)*r**3 + alpha*G*r**2
         + [k + alpha*k*G - alpha*(a_m + a_w)]*r - alpha*k*a_w = 0.
 
-Only its largest real root can be his optimum:
+Only its largest real root (:func:`real_roots`) can be his optimum:
 
 * ``k = 0`` (the transfer game without a subsidy): the cubic is ``r*Q(r)``
   with the quadratic ``Q(r) = (G/a_w)*r**2 + alpha*G*r - alpha*(a_m + a_w)``,
@@ -30,22 +30,23 @@ compared by utility with the boundary ``rho = 0`` and the corner.
 
 The cubic is solved in the power-of-two income units of
 :func:`income_units`, which are exact in binary, and the allocation is
-computed in absolute units. At a root where he spends at least
-half his income, ``a_m - spent`` would cancel, and the first-order identity
+computed in absolute units. At a root where he spends at least half his
+income, ``a_m - spent`` would cancel, and the first-order identity
 ``c_m = (G*(r/a_w)*r + k)/alpha`` replaces it. A paid transfer and the
 husband's consumption must be normal floats, or the solve raises
 NumericalFailure rather than print lost digits.
 
 The condition is written once, over an operation set ``x``: ``_FLOATS``
 solves one household with floats, ``math`` and C builtins, ``_arrays()`` a
-slice of households with numpy, ``numpy.where`` and libm lane by lane, to
-the same bits. A step that could divide by zero, leave a function's domain
-or overflow runs only under ``if x.any(mask)``: on floats that is the branch
-a scalar solve takes; on arrays the step runs on every lane and
-``x.where(mask, new, old)`` keeps it on the lanes of ``mask``. Each refusal
-clears a lane of one ``ok`` mask, which later steps respect; where ``ok`` is
-false the float entries raise NumericalFailure, and the array entry reports
-the household as refused. Both routes refuse the same households.
+slice of households with numpy, to the same bits (the root takes correctly
+rounded operations only, the logarithms are libm's, lane by lane). A step
+that could divide by zero, leave a function's domain or overflow runs only
+under ``if x.any(mask)``: on floats that is the branch a scalar solve takes;
+on arrays the step runs on every lane and ``x.where(mask, new, old)`` keeps
+it on the lanes of ``mask``. Each refusal clears a lane of one ``ok`` mask,
+which later steps respect; where ``ok`` is false the float entries raise
+NumericalFailure, and the array entry reports the household as refused.
+Both routes refuse the same households.
 
 With one admissible root in every model, the cultural regimes "low" and
 "high" (smallest or largest admissible root) coincide.
@@ -59,21 +60,15 @@ import operator
 import sys
 import types
 from dataclasses import dataclass
-from itertools import repeat
 
 from .core import ModelParams, _record, participation, utility_linear_pair
 from .errors import NumericalFailure
 
 REGIMES = ("low", "high")
 
-# The quadratic left after dividing out one root has a discriminant with a
-# rounding error of a few ulps of its terms; within this band it counts as
-# zero, a double root.
-_DOUBLE_ROOT_RTOL = 16.0 * 2.0**-52
 _NEWTON_STEPS = 8
+_BISECTIONS = 11  # the exponents (-1075, 2]: 1077 < 2**11
 _TINY = sys.float_info.min
-_THIRD = 1.0 / 3.0
-_TURNS = tuple(2.0 * math.pi * j / 3.0 for j in range(3))
 
 
 @dataclass(frozen=True)
@@ -106,20 +101,15 @@ def _operations(**ops):
     return space
 
 
-def _float_largest(coeffs, e, ok):
-    """The largest root of the leader cubic by :func:`real_roots`, scaled by
-    ``2**e``, and ``ok``."""
-    return math.ldexp(real_roots(coeffs)[-1], e), ok
-
-
-# larger(a, b) and smaller(a, b) are max(a, b) and min(a, b), on floats and
-# lane by lane on arrays: a, unless b is strictly larger (smaller).
+# larger(a, b) is max(a, b), on floats and lane by lane on arrays: a, unless
+# b is strictly larger. largest(coeffs, e, ok) is the root of real_roots
+# times 2**e, NaN where no root is positive, and ok.
 _FLOATS = _operations(
     any=operator.truth, where=lambda mask, a, b: a if mask else b, not_=operator.not_,
-    larger=lambda a, b: b if b > a else a, smaller=lambda a, b: b if b < a else a,
-    sort=sorted, sqrt=math.sqrt, copysign=math.copysign, ldexp=math.ldexp,
-    frexp=math.frexp, pow=pow, acos=math.acos, cos=math.cos, log=math.log,
-    log1p=math.log1p, isfinite=math.isfinite, largest=_float_largest)
+    larger=lambda a, b: b if b > a else a, sqrt=math.sqrt, ldexp=math.ldexp,
+    frexp=math.frexp, log=math.log, log1p=math.log1p, isfinite=math.isfinite,
+    largest=lambda coeffs, e, ok: (
+        math.ldexp(max(real_roots(coeffs), default=math.nan), e), ok))
 
 
 @functools.cache
@@ -128,14 +118,13 @@ def _arrays():
     which only solves single households never imports numpy."""
     import numpy as np
 
-    def libm(fn, domain=None):
+    def libm(fn, domain):
         # fn lane by lane, so that the result has libm's bits; numpy's own
         # transcendental kernels may differ from libm in the last ulp. A lane
         # outside fn's domain gives NaN instead of raising.
-        def apply(v, *args):
-            if domain is not None:
-                v = np.where(domain(v), v, np.nan)
-            return np.fromiter(map(fn, v.tolist(), *map(repeat, args)), float, len(v))
+        def apply(v):
+            v = np.where(domain(v), v, np.nan)
+            return np.fromiter(map(fn, v.tolist()), float, len(v))
         return apply
 
     def where(mask, a, b):
@@ -145,18 +134,14 @@ def _arrays():
 
     def largest(coeffs, e, ok):
         ok = ok & np.logical_and.reduce([np.isfinite(c) for c in coeffs])
-        *zs, exp, ok = _cubic(space, *coeffs, ok)
-        # real_roots refuses a cubic with any root beyond the float range.
-        zs = np.ldexp(np.broadcast_arrays(*zs), exp)
-        root = np.ldexp(np.fmax.reduce(zs, axis=0), e)  # fmax skips missing roots
-        return root, ok & ~np.isinf(zs).any(axis=0) & ~np.isinf(root)
+        root, ok = _largest_root(space, *coeffs, ok)
+        root = np.ldexp(root, e)  # inf where the scalar ldexp raises
+        return root, ok & ~np.isinf(root)
 
     space = _operations(
         any=np.any, where=where, not_=np.logical_not,
-        larger=lambda a, b: np.where(b > a, b, a), smaller=lambda a, b: np.where(b < a, b, a),
-        sort=lambda v: np.sort(v, axis=0), sqrt=np.sqrt, copysign=np.copysign,
-        ldexp=np.ldexp, frexp=np.frexp, pow=libm(pow), acos=libm(math.acos),
-        cos=libm(math.cos), log=libm(math.log, lambda v: v > 0.0),
+        larger=lambda a, b: np.where(b > a, b, a), sqrt=np.sqrt, ldexp=np.ldexp,
+        frexp=np.frexp, log=libm(math.log, lambda v: v > 0.0),
         log1p=libm(math.log1p, lambda v: v > -1.0), isfinite=np.isfinite, largest=largest)
     return space
 
@@ -168,16 +153,49 @@ def _normal(x):
 
 def _leader_cubic(g, alpha, a_w, a_m, k):
     """Coefficients ``(c3, c2, c1, c0)`` of the leader cubic, on floats or
-    arrays. For valid parameters ``c3 > 0`` and ``c2 > 0``; ``c0`` has the
-    sign of ``-k``, negative in the extended game."""
+    arrays: for valid parameters ``c3 > 0``, ``c2 >= 0`` (0 where ``alpha*g``
+    underflows) and ``c0`` of the sign of ``-k``."""
     return (g / a_w, alpha * g, k + alpha * k * g - alpha * (a_m + a_w),
             -alpha * k * a_w)
 
 
-def _polish(x, b, c, d, z, active):
-    """Newton steps on the monic cubic, on each lane of ``active`` until a
-    step no longer shrinks the residual."""
-    fz = ((z + b) * z + c) * z + d
+def _largest_root(x, c3, c2, c1, c0, ok):
+    """``(root, ok)`` of :func:`real_roots`, NaN where no root is positive. A
+    root beyond the float range raises OverflowError on floats, is inf on arrays."""
+    # c/c3 = q*2**(e - e3), q = m/m3. 2**u bounds |c2/c3|, |c1/c3|**(1/2) and
+    # |c0/c3|**(1/3), but a zero coefficient bounds nothing.
+    (m3, e3), (q2, e2), (q1, e1), (q0, e0) = map(x.frexp, (c3, c2, c1, c0))
+    q2, q1, q0, e2, e1, e0 = q2 / m3, q1 / m3, q0 / m3, e2 - e3, e1 - e3, e0 - e3
+    u = -((-e0 - (abs(q0) > 1.0)) // 3)
+    u = x.larger(u, x.where(c1 != 0.0, -((-e1 - (abs(q1) > 1.0)) // 2), u))
+    u = x.larger(u, x.where(c2 != 0.0, e2 + (abs(q2) > 1.0), u))
+    b, c, d = x.ldexp(q2, e2 - u), x.ldexp(q1, e1 - 2 * u), x.ldexp(q0, e0 - 3 * u)
+    ok = ok & (abs(d) >= _TINY)
+    # zc, the larger critical point, in a form that cannot cancel (b >= 0).
+    disc, zc = b * b - 3.0 * c, -math.inf
+    if x.any(disc > 0.0):
+        zc = x.where(disc > 0.0, -c / (b + x.sqrt(disc)), zc)
+    fzc = ((zc + b) * zc + c) * zc + d
+    dips = (zc > 0.0) & (fzc <= 0.0)
+    rooted = (d < 0.0) | dips
+    # Bisect for the least 2**j right of zc where f >= 0, up from zc or from
+    # the root's floor |d|/3.
+    lo, hi = x.where(zc > 0.0, x.frexp(zc)[1] - 1, x.frexp(d)[1] - 4), 2
+    for _ in range(_BISECTIONS):
+        if not x.any(hi - lo > 1):
+            break
+        mid = (lo + hi) // 2
+        z = x.ldexp(1.0, mid)
+        right = (z > zc) & (((z + b) * z + c) * z + d >= 0.0)
+        lo, hi = x.where(right, (lo, mid), (mid, hi))
+    z = x.ldexp(1.0, hi)
+    if x.any(dips):
+        # f(zc + w) = f(zc) + (3*zc + b)*w**2 + w**3, so the root of its
+        # quadratic part is right of the root, and near it at a near-double root.
+        near = zc + x.sqrt(-fzc / (3.0 * zc + b))
+        z = x.where(dips & (near < z), near, z)
+    # Newton steps, on each lane until a step no longer shrinks the residual.
+    active, fz = ok & rooted, ((z + b) * z + c) * z + d
     for _ in range(_NEWTON_STEPS):
         dfz = (3.0 * z + 2.0 * b) * z + c
         active = active & (fz != 0.0) & (dfz != 0.0)
@@ -189,97 +207,39 @@ def _polish(x, b, c, d, z, active):
         if not x.any(active):
             break
         z, fz = x.where(active, (nxt, fn), (z, fz))
-    return z
-
-
-def _cubic(x, c3, c2, c1, c0, ok):
-    """The roots of :func:`real_roots`, before they are sorted and scaled:
-    ``(z1, z2, z3, exp, ok)`` with the roots in the unit ``2**exp`` and NaN
-    for a missing root. ``ok`` is cleared where the roots lie or spread
-    beyond the floating-point range."""
-    bound = x.larger(x.larger(abs(c2 / c3), x.sqrt(abs(c1)) / x.sqrt(abs(c3))),
-                     x.pow(abs(c0), _THIRD) / x.pow(abs(c3), _THIRD))
-    # Exact power-of-two scaling, in an order that keeps intermediates finite
-    # once the scaled leading coefficient is.
-    exp = x.frexp(bound)[1]
-    lead = x.ldexp(c3, exp)
-    b = c2 / lead
-    c = x.ldexp(c1, -exp) / lead
-    d = x.ldexp(x.ldexp(c0, -exp) / lead, -exp)
-    ok = ok & (bound < math.inf) & (abs(lead) < math.inf) & ((c0 == 0.0) | (abs(d) >= _TINY))
-
-    shift = b / 3.0
-    p3 = (c - b * shift) / 3.0
-    h = 0.5 * ((2.0 * shift * shift - c) * shift + d)
-    disc = h * h + p3 * p3 * p3
-    one = ok & (disc > 0.0)
-    three = ok & (disc <= 0.0) & (p3 < 0.0)
-    y = 0.0
-    if x.any(one):
-        a = -x.copysign(x.pow(abs(h) + x.sqrt(disc), _THIRD), h)
-        y = x.where(one, a - p3 / a, y)
-    if x.any(three):
-        m = x.sqrt(-p3)
-        theta = x.acos(x.larger(-1.0, x.smaller(1.0, -h / (m * m * m)))) / 3.0
-        lo, mid, hi = x.sort([2.0 * m * x.cos(theta - turn) for turn in _TURNS])
-        y = x.where(three, x.where(mid - lo > hi - mid, lo, hi), y)
-    z1 = _polish(x, b, c, d, y - shift, ok)
-
-    # z**2 + e*z + f is the scaled cubic divided by (z - z1). Of the two
-    # expressions for e, the one with the smaller rounding error is taken.
-    nonzero = z1 != 0.0
-    f = x.where(nonzero, -d / z1, c) if x.any(nonzero) else c
-    e = b + z1
-    wide = abs(z1) * x.larger(abs(b), abs(z1)) > x.larger(abs(c), abs(f))
-    if x.any(wide):
-        e = x.where(wide, (f - c) / z1, e)
-    disc = e * e - 4.0 * f
-    tol = _DOUBLE_ROOT_RTOL * (e * e + 4.0 * abs(f))
-    two = disc > tol
-    z2 = x.where(disc >= -tol, -0.5 * e, math.nan)
-    z3 = math.nan
-    if x.any(two):
-        q = -0.5 * (e + x.copysign(x.sqrt(disc), e))
-        z2, z3 = x.where(two, (_polish(x, b, c, d, q, ok & two),
-                               _polish(x, b, c, d, f / q, ok & two)), (z2, z3))
-    return z1, z2, z3, exp, ok
+    return x.ldexp(x.where(rooted, z, math.nan), u), ok
 
 
 def real_roots(coeffs: tuple[float, float, float, float]) -> tuple[float, ...]:
-    """All real roots of ``c3*x**3 + c2*x**2 + c1*x + c0``, ascending, in
-    closed form, from ``coeffs = (c3, c2, c1, c0)``.
+    """The largest real root of ``c3*x**3 + c2*x**2 + c1*x + c0``, from
+    ``coeffs = (c3, c2, c1, c0)`` with ``c3 > 0``, ``c2 >= 0`` and ``c0 != 0``:
+    a one-tuple, or ``()`` where no root is positive (with ``c0 > 0`` there
+    are two or none; with ``c0 < 0`` one, by Descartes' rule).
 
-    The cubic is made monic and scaled by a power of two ``t`` above
-    ``max(|c2/c3|, |c1/c3|**(1/2), |c0/c3|**(1/3))``, which bounds every
-    root within a factor of two and brings every coefficient into [-1, 1].
-    Its depressed form ``y**3 + p*y + q`` gives one real root by Cardano's
-    formula, or three by the trigonometric formula, of which the one farthest
-    from the other two is kept (Blinn, "How to Solve a Cubic Equation", IEEE
-    CG&A 2006-07). Dividing that root out leaves a quadratic whose roots come
-    from the cancellation-free formula, with a double root when its
-    discriminant is within rounding of zero. The quadratic, not the cubic's
-    discriminant, decides the root count, so roots far smaller than ``t``
-    are resolved. Newton steps on the scaled cubic bring each root to
-    machine residual.
+    Scaled by a power of two read from the coefficients' exponents, the
+    monic cubic has coefficients in [-1, 1] and roots below 2. Right of its
+    larger critical point it is convex and increasing, so Newton steps
+    descend to the root from the least power of two there at which it is
+    nonnegative (Kahan, "To Solve a Real Cubic Equation", 1986). Only
+    correctly rounded operations are used (IEEE 754-2019 5.4), so the array
+    route gives the same bits.
 
-    Raises NumericalFailure when a coefficient is not finite, or when the
-    roots lie or spread beyond the floating-point range.
+    Raises NumericalFailure where a coefficient is not finite or the roots
+    lie or spread beyond the floating-point range, ValueError for other signs.
     """
     if not all(map(math.isfinite, coeffs)):
         raise NumericalFailure(f"cubic coefficients {coeffs!r} are not finite")
     c3, c2, c1, c0 = coeffs
-    if c3 == 0.0:
-        raise ValueError("leading coefficient must be nonzero")
-    if c2 / c3 == c1 == c0 == 0.0:  # the root bound is zero
-        return (0.0,)
+    if not (c3 > 0.0 and c2 >= 0.0 and c0 != 0.0):
+        raise ValueError(f"cubic coefficients {coeffs!r} need c3 > 0, c2 >= 0 and c0 != 0")
     try:
-        z1, z2, z3, exp, ok = _cubic(_FLOATS, c3, c2, c1, c0, True)
-    except OverflowError:  # the scaled leading coefficient
+        root, ok = _largest_root(_FLOATS, c3, c2, c1, c0, True)
+    except OverflowError:
         ok = False
     if not ok:
         raise NumericalFailure(f"roots of the cubic {coeffs!r} lie or spread beyond the "
                                "floating-point range")
-    return tuple(sorted([math.ldexp(z, exp) for z in (z1, z2, z3) if z == z]))
+    return (root,) if root == root else ()
 
 
 def _units(x, a_w, a_m):

@@ -9,15 +9,17 @@ import math
 import numpy as np
 import pytest
 
-from fertgames import ModelParams, real_roots, solve_game
+from fertgames import ModelParams, solve_game
 from fertgames.extended import _leader_cubic
 
 SEED = 20250811
 
 LOG_LO, LOG_HI = math.log(0.1), math.log(10.0)
 
-# With a subsidy of 0.5, scaling this household's leader cubic by the power
-# of two above its root bound overflows the leading coefficient.
+# With a subsidy of 0.5, the roots of this household's leader cubic spread
+# beyond the float range: scaled so that its largest root is below 2, its
+# constant term is subnormal. (Scaled the older way, through the leading
+# coefficient, that coefficient overflowed.)
 LEAD_OVERFLOW = ModelParams(
     alpha=6.724201680895226e+126, delta=5.926674418235719e-81,
     gamma=1.239500774538727e+101, beta=2.8193321611457835e+129,
@@ -93,5 +95,7 @@ def residual_scale(coeffs, x: float) -> float:
 
 
 def positive_roots(coeffs) -> tuple[float, ...]:
-    """Strictly positive real roots, ascending."""
-    return tuple(r for r in real_roots(coeffs) if r > 0.0)
+    """Strictly positive real roots, ascending, by ``numpy.roots`` (the
+    eigenvalues of the companion matrix), independent of the production
+    solver."""
+    return tuple(sorted(z.real for z in np.roots(coeffs) if z.imag == 0.0 and z.real > 0.0))

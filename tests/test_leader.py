@@ -102,8 +102,8 @@ def test_scenario_point_matches_high_precision_digits():
 
 
 def test_overflowing_scaled_cubic_is_solved_or_refused():
-    # The scaled leading coefficient leaves the float range; the answer is
-    # either the certifier's or a NumericalFailure, never an OverflowError.
+    # The roots of the leader cubic spread beyond the float range; the answer
+    # is either the certifier's or a NumericalFailure, never an OverflowError.
     try:
         eq = solve_game(LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY)
     except NumericalFailure:

@@ -17,14 +17,13 @@ from fertgames import (
     PopulationSpec,
     aggregate,
     benchmark_solve,
-    real_roots,
     sample_households,
     solve_extended,
     solve_game,
 )
 from conftest import LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY, UTILITY_OVERFLOW
 from fertgames import population
-from fertgames.extended import _leader_cubic, income_units, leader_optima, leader_optimum
+from fertgames.extended import leader_optima, leader_optimum
 from fertgames.population import _solve_arrays, _solve_household, sample_household
 
 POINT = LogNormalSpec(mu=0.0, sigma=0.0)
@@ -553,8 +552,9 @@ def batched_leader(columns, subsidy: float, game: bool = False):
 def scalar_leader(columns, subsidy: float, game: bool = False):
     """``leader_optimum`` household by household: the rows of
     ``(n, rho, c_w, c_m)`` (rho NaN at the corner), or None where it raises,
-    and the count of three-root cubics, boundary wins and corners."""
-    rows, seen = [], {"three roots": 0, "boundary": 0, "corner": 0}
+    and the count of subsidized households whose optimum is a root of the
+    leader cubic, of boundary wins and of corners."""
+    rows, seen = [], {"subsidized root": 0, "boundary": 0, "corner": 0}
     for values in zip(*(c.tolist() for c in columns)):
         p = ModelParams(*values)
         paid = 0.0 if subsidy or game else p.beta
@@ -563,11 +563,9 @@ def scalar_leader(columns, subsidy: float, game: bool = False):
         except ModelError:
             rows.append(None)
             continue
-        if paid != subsidy:  # at k = 0 the cubic is left unsolved
-            e, a_w, a_m = income_units(p)
-            cubic = _leader_cubic(p.gamma / p.delta, p.alpha, a_w, a_m,
-                                  math.ldexp(paid - subsidy, -e))
-            seen["three roots"] += len(real_roots(cubic)) == 3
+        # Under a subsidy (k < 0) the cubic is positive at 0, so a root that
+        # wins is the larger of two positive roots.
+        seen["subsidized root"] += subsidy > 0.0 and rho is not None and rho > 0.0
         seen["boundary"] += rho == 0.0
         seen["corner"] += rho is None
         rows.append((n, math.nan if rho is None else rho, c_w, c_m))
@@ -592,7 +590,7 @@ class TestBatchedLeader:
         (0.0, False), (0.0, True), (1e-3, False), (0.5, False), (10.0, False)],
         ids=["extended", "paid=subsidy=0", "s=1e-3", "s=0.5", "s=10"])
     def test_bit_identical_to_scalar_route(self, subsidy, game):
-        seen_total = dict.fromkeys(("three roots", "boundary", "corner"), 0)
+        seen_total = dict.fromkeys(("subsidized root", "boundary", "corner"), 0)
         for j, span in enumerate((E2, E50)):
             columns = log_uniform_households(
                 [SEED_LEADER, j, int(subsidy * 1000)], span, 20_000)
@@ -603,10 +601,10 @@ class TestBatchedLeader:
                 assert_same_bits(got_column, want_column)
             for key in seen:
                 seen_total[key] += seen[key]
-        # The draws reach every branch: the trigonometric root (the cubic
-        # is left unsolved at k = 0), the boundary rho = 0 (only a subsidy
+        # The draws reach every branch: the larger of two positive roots
+        # (only a subsidy makes two), the boundary rho = 0 (only a subsidy
         # offers it) and the corner.
-        assert (seen_total["three roots"] > 0) != game and seen_total["corner"] > 0
+        assert (seen_total["subsidized root"] > 0) == (subsidy > 0) and seen_total["corner"] > 0
         assert (seen_total["boundary"] > 0) == (subsidy > 0)
 
     @pytest.mark.parametrize("subsidy", [0.0, 0.5], ids=["extended", "s=0.5"])
@@ -622,7 +620,7 @@ class TestBatchedLeader:
 
     @pytest.mark.parametrize("p,subsidy", [
         (ModelParams(1, 1, 1, 1, a_w=1e300, a_m=1e-300), 0.0),  # income ratio
-        (LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY),  # scaled leading coefficient
+        (LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY),  # roots spread beyond the range
         (ModelParams(1e10, 1e-100, 1e100, 1, 1e300, 1e300), 1e300),  # c_w
     ], ids=["ratio", "lead", "c_w"])
     def test_each_refusal_is_left_to_scalar_route(self, p, subsidy):
