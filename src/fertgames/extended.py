@@ -69,6 +69,8 @@ REGIMES = ("low", "high")
 _NEWTON_STEPS = 8
 _BISECTIONS = 11  # the exponents (-1075, 2]: 1077 < 2**11
 _TINY = sys.float_info.min
+# A value within this bound stays finite when a logarithm it sums moves by an ulp.
+_HALF_MAX = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,37 @@ def _arrays():
         frexp=np.frexp, log=libm(math.log, lambda v: v > 0.0),
         log1p=libm(math.log1p, lambda v: v > -1.0), isfinite=np.isfinite, largest=largest)
     return space
+
+
+def _finite_utilities(terms, ok, *columns):
+    """``ok``, narrowed to the lanes where every value of
+    ``terms(log, *columns)`` (utilities and the logarithmic terms they sum)
+    is finite, as the scalar routes decide it with libm's logarithm.
+
+    numpy's ``log`` runs first. It may differ from libm's in the last ulp,
+    which can decide finiteness only where a value is not finite or exceeds
+    half the largest float in magnitude; the lanes of ``ok`` where one does
+    are computed again with the libm ``log`` of :func:`_arrays`.
+    """
+    import numpy as np
+
+    values = terms(np.log, *columns)
+    inside = np.ones(np.broadcast(*values).shape, dtype=bool)
+    for value in values:
+        inside &= np.abs(value) <= _HALF_MAX
+    near, ok = ok & ~inside, ok & inside
+    if near.any():
+        lanes = np.flatnonzero(near)
+        values = terms(_arrays().log, *(c[lanes] if np.ndim(c) else c for c in columns))
+        ok[lanes] = np.logical_and.reduce([np.isfinite(value) for value in values])
+    return ok
+
+
+def _linear_utilities(log, alpha, delta, gamma, c_w, c_m, n):
+    """The utilities of :func:`~fertgames.core.utility_linear_pair` and the
+    wife's logarithmic term."""
+    wife = gamma * log(c_w)
+    return wife, wife - delta * n, log(c_m) + alpha * n
 
 
 def _normal(x):
@@ -394,8 +427,7 @@ def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
     alpha, delta, gamma = columns[:3]
     with np.errstate(all="ignore"):
         _, rho, n, c_w, c_m, ok = _leader(_arrays(), *columns, subsidy)
-        ok &= (np.isfinite(gamma * np.log(c_w) - delta * n)
-               & np.isfinite(np.log(c_m) + alpha * n))
+        ok = _finite_utilities(_linear_utilities, ok, alpha, delta, gamma, c_w, c_m, n)
     return n, rho, c_w, c_m, ok
 
 

@@ -132,6 +132,12 @@ class TestExitCodes:
         assert run_command(["solve", "no_such_file.scn"]) == 2
         assert capsys.readouterr().err != ""
 
+    def test_unwritable_output_is_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "sweep.csv"
+        assert run_command(["sweep", GAME_ANCHOR, "--param", "a_w", "--from", "1",
+                            "--to", "2", "--steps", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("fertgames: [Errno 2] ")
+
     def test_boundary_statics_is_three(self, tmp_path, capsys):
         childless = tmp_path / "childless.scn"
         childless.write_text("model = game\nalpha = 2\ndelta = 1\ngamma = 1\n"

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fertgames import NumericalFailure, real_roots
-from fertgames.extended import _FLOATS, _arrays, _leader_cubic, _units
+from fertgames.extended import _FLOATS, _arrays, _largest_root, _leader_cubic, _units
 
 ULP = 2.0**-53
 SEED_ROOTS = 20251019
@@ -132,3 +132,13 @@ def test_named_cubics_match_mpmath():
     by_name = dict(zip(NAMED, results))
     assert by_name["no positive root"] == ()
     assert 2.0**-1022 < by_name["root near the normal floor"][0] < 2.0**-1020
+
+
+def test_root_beyond_the_float_range_raises_numerical_failure():
+    # The largest root, about 4.5e315, lies beyond the float range: the
+    # float route's ldexp raises OverflowError on the way to it.
+    coeffs = (5e-324, 0.0, -1e308, -1.0)
+    with pytest.raises(OverflowError):
+        _largest_root(_FLOATS, *coeffs, True)
+    with pytest.raises(NumericalFailure, match="beyond the floating-point range"):
+        real_roots(coeffs)
