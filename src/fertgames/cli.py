@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import statics as statics_mod
@@ -21,8 +20,10 @@ from .core import (
     MODELS,
     PARAM_NAMES,
     ModelParams,
+    Record,
     benchmark_solve,
     check_subsidy,
+    replace,
     utility_log_pair,
 )
 from .errors import (
@@ -64,8 +65,7 @@ SOLVE_HEADER = (
 _N_STAR = SOLVE_HEADER.split(",").index("n_star")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     model: str
     params: ModelParams
     subsidy: float

@@ -18,7 +18,6 @@ the independent grid-search optimizer in :mod:`fertgames.oracle`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 from .errors import (
     DomainError,
@@ -33,8 +32,81 @@ from .errors import (
 PARTICIPATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class FrozenRecordError(AttributeError):
+    """Raised on assigning to or deleting an attribute of a record."""
+
+
+class Record:
+    """A frozen record, declared as a frozen dataclass is: one class
+    annotation per field, in order, and a class-level value for a field
+    with a default.
+
+    A record is built from its fields by position or keyword, after which
+    its ``__post_init__`` runs. It prints as ``Name(field=value, ...)`` and
+    compares and hashes as the tuple of its fields, only with a record of
+    the same class; a record with an unhashable field is unhashable.
+    ``_fields`` names the fields in order.
+
+    Each class gets an ``__init__`` compiled from its field names, as a
+    named tuple gets its ``__new__``: Python binds the arguments, and each
+    field is set with ``object.__setattr__``, which keeps the interpreter's
+    fast path for reading it. The values live in the instance ``__dict__``,
+    so ``_record`` can set them all with one dict update instead; on
+    CPython 3.11 a record whose ``__dict__`` was touched reads its fields
+    about twice as slowly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A subclass adds its fields after those of its base, as in dataclasses.
+        cls._fields = fields = cls._fields + tuple(vars(cls).get("__annotations__", ()))
+        defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
+        params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name
+                           for name in fields)
+        sets = "".join(f"    _set(self, {name!r}, {name})\n" for name in fields)
+        namespace = {"_set": object.__setattr__, "_defaults": defaults}
+        exec(f"def __init__(self, {params}):\n{sets}    self.__post_init__()\n", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A copy of ``record`` with the fields in ``changes`` set, built, and so
+    checked, again; an unknown field raises TypeError."""
+    cls = type(record)
+    values = [changes.pop(name, getattr(record, name)) for name in cls._fields]
+    if changes:
+        raise TypeError(f"{cls.__qualname__} has no field {next(iter(changes))!r}")
+    return cls(*values)
+
+
+class ModelParams(Record):
     """Exogenous household parameters, valid by construction: each must be
     finite and positive, or NonPositiveParameter names the first that is not.
 
@@ -70,12 +142,11 @@ class ModelParams:
         return ratio
 
 
-PARAM_NAMES = tuple(field.name for field in fields(ModelParams))
+PARAM_NAMES = ModelParams._fields
 MODELS = ("benchmark", "game", "extended")
 
 
-@dataclass(frozen=True)
-class BenchmarkSolution:
+class BenchmarkSolution(Record):
     """Allocation chosen by the pooled-budget household.
 
     ``wife_utility_delta`` reports the wife's log-utility at the family
@@ -95,7 +166,7 @@ def validate_params(raw: ModelParams) -> ModelParams:
     """Check that every parameter is finite and positive; return them unchanged.
 
     Raises NonPositiveParameter naming the offending field. Every ModelParams
-    runs it on construction, ``dataclasses.replace`` included.
+    runs it on construction, :func:`replace` included.
     """
     for name in PARAM_NAMES:
         value = getattr(raw, name)
@@ -105,10 +176,10 @@ def validate_params(raw: ModelParams) -> ModelParams:
 
 
 def _record(cls, **fields):
-    """``cls(**fields)`` for a frozen dataclass ``cls`` without
-    ``__post_init__``, given every field. Its generated ``__init__`` sets
-    each field with one ``object.__setattr__`` call, which costs a scalar
-    solve more than its allocation; one dict update sets them all."""
+    """``cls(**fields)`` for a record ``cls`` without ``__post_init__``,
+    given every field. Its ``__init__`` sets each field with one
+    ``object.__setattr__`` call, which costs a scalar solve more than its
+    allocation; one dict update sets them all."""
     record = object.__new__(cls)
     record.__dict__.update(fields)
     return record

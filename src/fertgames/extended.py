@@ -59,9 +59,8 @@ import math
 import operator
 import sys
 import types
-from dataclasses import dataclass
 
-from .core import ModelParams, _record, participation, utility_linear_pair
+from .core import ModelParams, Record, _record, participation, utility_linear_pair
 from .errors import NumericalFailure
 
 REGIMES = ("low", "high")
@@ -73,8 +72,7 @@ _TINY = sys.float_info.min
 _HALF_MAX = sys.float_info.max / 2
 
 
-@dataclass(frozen=True)
-class ExtendedEquilibrium:
+class ExtendedEquilibrium(Record):
     """Root and induced allocation of the extended game.
 
     ``positive_roots`` holds the one positive root of the cubic in the

@@ -24,16 +24,14 @@ game.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import ModelParams, _record, participation, utility_linear_pair
+from .core import ModelParams, Record, _record, participation, utility_linear_pair
 from .errors import NonPositiveParameter, NonPositiveTransfer, NumericalFailure
 # equilibrium_transfer is re-exported.
 from .extended import equilibrium_transfer, leader_optimum
 
 
-@dataclass(frozen=True)
-class ReactionDecomposition:
+class ReactionDecomposition(Record):
     """Wife's best-response fertility split into its two components."""
 
     preference_effect: float
@@ -41,8 +39,7 @@ class ReactionDecomposition:
     n: float
 
 
-@dataclass(frozen=True)
-class GameEquilibrium:
+class GameEquilibrium(Record):
     """Equilibrium outcome of the transfer game.
 
     Without a subsidy ``rho_star`` is always the positive root of the

@@ -41,7 +41,6 @@ how much of the population sits past the fertility threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -49,6 +48,7 @@ from .core import (
     MODELS,
     PARAM_NAMES,
     ModelParams,
+    Record,
     _record,
     benchmark_solve,
     check_subsidy,
@@ -75,16 +75,14 @@ _BLOCK = 1 << 14
 _CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
-class LogNormalSpec:
+class LogNormalSpec(Record):
     """Log-normal income distribution: exp of Normal(mu, sigma)."""
 
     mu: float
     sigma: float
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(Record):
     """A seeded population, checked when built: a count or seed out of
     range, an unusable distribution, an unknown model or a subsidy the model
     cannot take raises InvalidDistribution."""
@@ -118,8 +116,7 @@ class PopulationSpec:
         check_subsidy(self.model, self.subsidy)
 
 
-@dataclass(frozen=True)
-class AggregateReport:
+class AggregateReport(Record):
     """Population-level fertility statistics.
 
     ``mean_transfer`` averages the equilibrium transfer over interior

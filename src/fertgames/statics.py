@@ -27,9 +27,8 @@ makes n* non-differentiable, so statics on n raise ``BoundaryStatics`` there
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
-from .core import ModelParams, _record, check_finite
+from .core import ModelParams, Record, _record, check_finite, replace
 from .errors import BoundaryStatics, NumericalFailure
 from .extended import _normal, income_units
 from .game import GameEquilibrium, solve_game
@@ -39,8 +38,7 @@ PARTIAL_KEYS = ("alpha", "delta", "gamma", "a_w", "a_m")
 _FD_RELATIVE_STEP = 1e-6
 
 
-@dataclass(frozen=True)
-class RegimeClassification:
+class RegimeClassification(Record):
     """Which channel controls the sign of a fertility partial.
 
     ``transfer_term`` and ``preference_term`` are the two competing
@@ -55,8 +53,7 @@ class RegimeClassification:
     predicted_sign: int
 
 
-@dataclass(frozen=True)
-class StaticsReport:
+class StaticsReport(Record):
     """Analytic and finite-difference partials at one parameter point."""
 
     radicand: float

@@ -6,7 +6,6 @@ All randomness is seeded; a failing criterion fails deterministically.
 """
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from fertgames import (
     wife_reaction,
 )
 from fertgames.cli import run_command
+from fertgames.core import replace
 from fertgames.oracle import (
     extended_transfer_ceiling,
     game_transfer_ceiling,

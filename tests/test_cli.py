@@ -388,15 +388,14 @@ class TestSolveOnlyImports:
     def test_solve_only_commands_never_load_numpy(self, tmp_path):
         # Only sampling needs numpy and the sampler, and only the tests the
         # oracles; the solve, statics, threshold and sweep commands must not
-        # pay for loading any of them. The population command loads the
-        # sampler.
+        # pay for loading any of them, nor for dataclasses and the inspect
+        # module it loads. The population command loads the sampler.
         script = textwrap.dedent(f"""
             import sys
             from pathlib import Path
             from fertgames.cli import run_command
-            def loaded():
-                return [name for name in ("numpy", "fertgames.population", "fertgames.oracle")
-                        if name in sys.modules]
+            def loaded(names=("numpy", "fertgames.population", "fertgames.oracle")):
+                return [name for name in names if name in sys.modules]
             for scn in sorted(Path({str(SCENARIOS)!r}).glob("*.scn")):
                 assert run_command(["solve", str(scn)]) == 0, scn
             assert run_command(["statics", {GAME_ANCHOR!r}]) == 0
@@ -405,6 +404,7 @@ class TestSolveOnlyImports:
                                 "--from", "0.5", "--to", "7", "--steps", "13",
                                 "--out", "sweep.csv", "--svg", "sweep.svg"]) == 0
             print("loaded:", loaded())
+            print("loaded:", loaded(("dataclasses", "inspect")))
             assert run_command(["population", {GAME_ANCHOR!r}, "--households", "20"]) == 0
             print("loaded:", loaded())
         """)
@@ -415,7 +415,7 @@ class TestSolveOnlyImports:
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         lines = [line for line in proc.stdout.splitlines() if line.startswith("loaded:")]
-        assert lines == ["loaded: []", "loaded: ['numpy', 'fertgames.population']"]
+        assert lines == ["loaded: []", "loaded: []", "loaded: ['numpy', 'fertgames.population']"]
 
 
 class TestConsoleScript:

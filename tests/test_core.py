@@ -2,7 +2,6 @@
 
 import math
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +21,7 @@ from fertgames import (
     utility_log_pair,
     validate_params,
 )
+from fertgames.core import replace
 from conftest import draw_benchmark_params, rel_err
 
 E = math.e

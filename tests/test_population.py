@@ -1,6 +1,5 @@
 """Deterministic population sampling and aggregation."""
 
-import dataclasses
 import functools
 import math
 
@@ -25,6 +24,7 @@ from fertgames import (
 )
 from conftest import LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY, UTILITY_OVERFLOW
 from fertgames import population
+from fertgames.core import replace
 from fertgames.extended import leader_optima, leader_optimum
 from fertgames.population import _solve_arrays, _solve_household, sample_household
 
@@ -212,7 +212,7 @@ class TestBatchedSampling:
     def test_household_draws_alike_in_every_population(self, monkeypatch, prefs):
         spec = contract_spec(2**64 - 1, prefs)
         for i in CONTRACT_INDICES[:4]:
-            smallest = dataclasses.replace(spec, count=i + 1)
+            smallest = replace(spec, count=i + 1)
             assert sample_households(smallest)[i] == reference_household(spec, i)
         # Slices of 10,000 households cut both blocks.
         for chunk in (population._CHUNK, 10_000):

@@ -7,7 +7,6 @@ not covered here.
 """
 
 import math
-from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from fertgames import (
     solve_game,
 )
 from fertgames.cli import run_command
+from fertgames.core import Record
 from fertgames.statics import ratio_fd
 
 ROUTES = (benchmark_solve, solve_game, fertility_threshold, build_report, ratio_fd)
@@ -48,9 +48,9 @@ UNREPRESENTABLE = ModelParams(2, 1, 1, 1, 1e200, 3e200)
 
 
 def floats(value):
-    if is_dataclass(value):
-        for f in fields(value):
-            yield from floats(getattr(value, f.name))
+    if isinstance(value, Record):
+        for name in value._fields:
+            yield from floats(getattr(value, name))
     elif isinstance(value, dict):
         for v in value.values():
             yield from floats(v)
@@ -99,8 +99,8 @@ def test_cli_exit_three(tmp_path, capsys, command, model, p):
     scn = tmp_path / "range.scn"
     # A game scenario must not set beta, which the transfer game never reads.
     scn.write_text(f"model = {model}\n" + "".join(
-        f"{f.name} = {getattr(p, f.name)!r}\n" for f in fields(p)
-        if not (model == "game" and f.name == "beta")))
+        f"{name} = {getattr(p, name)!r}\n" for name in p._fields
+        if not (model == "game" and name == "beta")))
     assert run_command([command, str(scn)]) == 3
     out = capsys.readouterr()
     assert out.out == ""
