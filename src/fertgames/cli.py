@@ -4,8 +4,9 @@ Scenario files are flat ``key = value`` lines, one setting each, with ``#``
 comments. Output tables use a dot decimal separator, 12 significant digits
 and LF line endings so golden files stay byte-stable across platforms.
 
-Exit codes: 0 success, 2 invalid input (parsing or parameter validation),
-3 solver failure. Diagnostics go to stderr only.
+Exit codes: 0 success, 2 invalid input (parsing or parameter validation,
+or a population that does not fit in memory), 3 solver failure. Diagnostics
+go to stderr only.
 """
 
 from __future__ import annotations

@@ -170,7 +170,11 @@ def validate_params(raw: ModelParams) -> ModelParams:
     """
     for name in PARAM_NAMES:
         value = getattr(raw, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        try:
+            valid = isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+        except OverflowError:  # an int beyond the float range
+            valid = False
+        if not valid:
             raise NonPositiveParameter(name, value)
     return raw
 

@@ -133,13 +133,17 @@ def _arrays():
         return np.where(mask, a, b)
 
     def largest(coeffs, e, ok):
-        ok = ok & np.logical_and.reduce([np.isfinite(c) for c in coeffs])
+        # A chained &, since a fixed preference may leave a coefficient scalar.
+        for c in coeffs:
+            ok = ok & np.isfinite(c)
         root, ok = _largest_root(space, *coeffs, ok)
         root = np.ldexp(root, e)  # inf where the scalar ldexp raises
         return root, ok & ~np.isinf(root)
 
+    # On a 1,000-lane mask np.count_nonzero costs a sixth of np.any, which
+    # dispatches its reduction in Python.
     space = _operations(
-        any=np.any, where=where, not_=np.logical_not,
+        any=np.count_nonzero, where=where, not_=np.logical_not,
         larger=lambda a, b: np.where(b > a, b, a), sqrt=np.sqrt, ldexp=np.ldexp,
         frexp=np.frexp, log=libm(math.log, lambda v: v > 0.0),
         log1p=libm(math.log1p, lambda v: v > -1.0), isfinite=np.isfinite, largest=largest)
@@ -163,7 +167,7 @@ def _finite_utilities(terms, ok, *columns):
     for value in values:
         inside &= np.abs(value) <= _HALF_MAX
     near, ok = ok & ~inside, ok & inside
-    if near.any():
+    if np.count_nonzero(near):
         lanes = np.flatnonzero(near)
         values = terms(_arrays().log, *(c[lanes] if np.ndim(c) else c for c in columns))
         ok[lanes] = np.logical_and.reduce([np.isfinite(value) for value in values])
@@ -412,8 +416,11 @@ def leader_optimum(
 def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
     """:func:`leader_optimum` over arrays of households, to the same bits.
 
-    The arguments are arrays or floats; ``subsidy`` is one float. Returns
-    ``(n, rho, c_w, c_m, ok)`` with ``rho`` NaN at the no-birth corner.
+    The arguments are arrays or floats, with at least one income an array;
+    ``subsidy`` is one float. A float is not broadcast: a preference fixed
+    across the households stays one number through every step it enters.
+    Returns the arrays ``(n, rho, c_w, c_m, ok)``, with ``rho`` NaN at the
+    no-birth corner.
     Households outside ``ok`` are those the scalar route refuses, or whose
     utilities (:func:`~fertgames.core.utility_linear_pair`) are not finite;
     their values here mean nothing. Raises ValueError, as the scalar route
@@ -421,11 +428,16 @@ def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
     """
     import numpy as np
 
-    columns = np.broadcast_arrays(alpha, delta, gamma, a_w, a_m, paid)
+    # numpy scalars, not floats, so that a scalar step, like a lane, gives
+    # inf or NaN under errstate rather than raise.
+    columns = [v if isinstance(v, np.ndarray) else np.float64(v)
+               for v in (alpha, delta, gamma, a_w, a_m, paid)]
     alpha, delta, gamma = columns[:3]
     with np.errstate(all="ignore"):
         _, rho, n, c_w, c_m, ok = _leader(_arrays(), *columns, subsidy)
         ok = _finite_utilities(_linear_utilities, ok, alpha, delta, gamma, c_w, c_m, n)
+    if not np.ndim(rho):  # no household reached a transfer: all are refused
+        n, rho = np.full(ok.shape, n), np.full(ok.shape, rho)
     return n, rho, c_w, c_m, ok
 
 

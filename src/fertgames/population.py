@@ -199,9 +199,11 @@ def _draw(spec: PopulationSpec, start: int, stop: int) -> tuple:
             values[name] = np.exp(float(dist.mu) + float(dist.sigma) * normals[:, column])
     columns = tuple(values[name] for name in PARAM_NAMES)
 
+    # PopulationSpec has checked the fixed preferences.
     valid = np.ones(stop - start, dtype=bool)
     for column in columns:
-        valid &= np.isfinite(column) & (column > 0)
+        if not isinstance(column, float):
+            valid &= np.isfinite(column) & (column > 0)
     if not valid.all():
         _params(columns, int(np.argmin(valid)))  # raises
     return columns
@@ -304,12 +306,19 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
 
     The first household that the solve refuses raises HouseholdSolveFailure,
     with its index and parameters and the scalar route's error as its cause,
-    before the next slice is drawn.
+    before the next slice is drawn. A population whose fertilities and
+    income ratios, 16 bytes per household kept whole for the deciles, cannot
+    be allocated raises InvalidDistribution before any household is drawn.
     """
     import numpy as np
 
     count = spec.count
-    n, ratios = np.empty(count), np.empty(count)
+    try:
+        n, ratios = np.empty(count), np.empty(count)
+    except MemoryError:
+        raise InvalidDistribution(
+            f"a population of {count} households needs {16 * count} bytes for its "
+            "fertilities and income ratios, more than this process can allocate") from None
     # The sums of the fertilities, the income ratios and the transfers of
     # households with children are carried from slice to slice, so only n
     # and the ratios, which the deciles sort, are kept whole.

@@ -418,6 +418,29 @@ class TestSolveOnlyImports:
         assert lines == ["loaded: []", "loaded: []", "loaded: ['numpy', 'fertgames.population']"]
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+def test_population_beyond_memory_exits_2(tmp_path):
+    # The child lowers its own address-space limit to 1.5 GB, so the 4.8 GB
+    # that 3*10**8 households need for their fertilities and income ratios
+    # cannot be allocated.
+    script = textwrap.dedent(f"""
+        import resource, sys
+        limit = 1_500_000_000
+        resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+        from fertgames.cli import run_command
+        sys.exit(run_command(["population", {GAME_ANCHOR!r}, "--households", "300000000"]))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "fertgames: invalid input: a population of 300000000 households needs 4800000000 "
+        "bytes for its fertilities and income ratios, more than this process can allocate\n")
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         proc = subprocess.run(

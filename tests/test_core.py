@@ -58,6 +58,17 @@ class TestValidateParams:
         with pytest.raises(NonPositiveParameter):
             ModelParams(alpha=math.nan, delta=1, gamma=1, beta=1, a_w=1, a_m=1)
 
+    @pytest.mark.parametrize("field", ["alpha", "delta", "gamma", "beta", "a_w", "a_m"])
+    def test_int_beyond_float_range_named(self, field):
+        # math.isfinite cannot convert such an int to a float.
+        values = dict(alpha=1, delta=1, gamma=1, beta=1, a_w=1, a_m=1)
+        with pytest.raises(NonPositiveParameter) as exc:
+            ModelParams(**{**values, field: 10**400})
+        assert exc.value.field == field
+        with pytest.raises(NonPositiveParameter) as exc:
+            replace(ModelParams(**values), **{field: -10**400})
+        assert exc.value.field == field
+
     def test_replace_checks_again(self):
         p = ModelParams(alpha=1, delta=1, gamma=1, beta=1, a_w=1, a_m=1)
         with pytest.raises(NonPositiveParameter) as exc:

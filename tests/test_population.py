@@ -264,6 +264,18 @@ class TestBatchedSampling:
             monkeypatch.setattr(population, "_CHUNK", chunk)
             assert repr(aggregate(spec)) == want
 
+    @pytest.mark.parametrize("model,subsidy", [
+        ("benchmark", 0.0), ("game", 0.0), ("extended", 0.0), ("game", 0.5)])
+    def test_range_of_one_value_aggregates_as_that_value(self, model, subsidy):
+        # A fixed preference reaches the solver as one float, a range (v, v)
+        # as a column of v: the answers are the same.
+        prefs = dict(alpha=2.0, delta=1.0, gamma=1.0, beta=0.3)
+        kw = dict(count=3001, seed=23, aw_dist=LogNormalSpec(0.5, 0.8),
+                  am_dist=LogNormalSpec(math.log(3.0), 0.5), model=model, subsidy=subsidy)
+        fixed = aggregate(PopulationSpec(**kw, **prefs))
+        ranged = aggregate(PopulationSpec(**kw, **{k: (v, v) for k, v in prefs.items()}))
+        assert repr(ranged) == repr(fixed)
+
     def test_first_invalid_draw_raises_like_validate_params(self):
         # sigma = 500 sends about a third of the incomes to inf or 0.
         spec = PopulationSpec(count=50, seed=0, aw_dist=LogNormalSpec(0.0, 500.0),
@@ -596,6 +608,37 @@ class TestBatchedLeader:
         solved = np.flatnonzero(ok)
         for got_column, want_column in zip(got, zip(*(rows[i] for i in solved))):
             assert_same_bits(got_column[solved], want_column)
+
+    @pytest.mark.parametrize("subsidy,game", [
+        (0.0, False), (0.0, True), (0.5, False), (10.0, False)],
+        ids=["extended", "s=0", "s=0.5", "s=10"])
+    @pytest.mark.parametrize("prefs", [
+        (2.0, 1.0, 1.0, 1.0), (2.0, 5e-324, 1.0, 1.0), (5e-324, 1.0, 1e300, 5e-324),
+        (1e-300, 1e-300, 1e-300, 1e-300)], ids=["anchor", "delta=5e-324", "spread", "1e-300"])
+    def test_fixed_preferences_as_floats(self, subsidy, game, prefs):
+        # Floats for alpha, delta, gamma and beta stay scalars through the
+        # solve; the answers are those of the scalar route, and the refusals
+        # those of the same preferences as arrays.
+        alpha, delta, gamma, beta = prefs
+        paid = 0.0 if subsidy or game else beta
+        answered = refused = 0
+        for j, span in enumerate((E2, E50, E150)):
+            a_w, a_m = log_uniform_households([SEED_LEADER, 4, j], span, 2000)[4:]
+            *got, ok = leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy)
+            columns = [np.full(len(a_w), v) for v in prefs] + [a_w, a_m]
+            assert (ok == batched_leader(columns, subsidy, game)[-1]).all()
+            rows, _ = scalar_leader(columns, subsidy, game)
+            rows_refused = np.array([row is None for row in rows])
+            assert not ok[rows_refused].any()
+            solved = np.flatnonzero(ok)
+            for got_column, want_column in zip(got, zip(*(rows[i] for i in solved))):
+                assert_same_bits(got_column[solved], want_column)
+            answered += len(solved)
+            refused += int(rows_refused.sum())
+        if prefs == (2.0, 1.0, 1.0, 1.0):
+            assert answered and (refused > 0) == (not game)
+        if delta == 5e-324:  # G = gamma/delta is inf
+            assert not answered
 
     @pytest.mark.parametrize("p,subsidy", [
         (ModelParams(1, 1, 1, 1, a_w=1e300, a_m=1e-300), 0.0),  # income ratio
