@@ -179,6 +179,15 @@ def validate_params(raw: ModelParams) -> ModelParams:
     return raw
 
 
+def finite(value) -> bool:
+    """``math.isfinite(value)``, but False, not OverflowError, for an int
+    beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _record(cls, **fields):
     """``cls(**fields)`` for a record ``cls`` without ``__post_init__``,
     given every field. Its ``__init__`` sets each field with one
@@ -192,8 +201,8 @@ def _record(cls, **fields):
 def check_subsidy(model: str, subsidy: float) -> None:
     """Reject a negative or non-finite subsidy, or one under a model other
     than the transfer game, which is the only one that takes a subsidy."""
-    if not (math.isfinite(subsidy) and subsidy >= 0):
-        raise InvalidDistribution(f"subsidy must be >= 0, got {subsidy!r}")
+    if not (finite(subsidy) and subsidy >= 0):
+        raise InvalidDistribution(f"subsidy must be finite and >= 0, got {subsidy!r}")
     if subsidy > 0 and model != "game":
         raise InvalidDistribution(
             "subsidies are only solvable under the transfer game"

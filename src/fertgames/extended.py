@@ -70,6 +70,8 @@ _BISECTIONS = 11  # the exponents (-1075, 2]: 1077 < 2**11
 _TINY = sys.float_info.min
 # A value within this bound stays finite when a logarithm it sums moves by an ulp.
 _HALF_MAX = sys.float_info.max / 2
+# |ln v| < _LN_RANGE for every positive finite float v: ln(2**-1074) = -744.44.
+_LN_RANGE = 745.0
 
 
 class ExtendedEquilibrium(Record):
@@ -115,7 +117,10 @@ _FLOATS = _operations(
 @functools.cache
 def _arrays():
     """The operations on numpy arrays, made on first use so that a process
-    which only solves single households never imports numpy."""
+    which only solves single households never imports numpy. Their ``log``
+    and ``log1p`` call libm lane by lane, in Python: the subsidized leader
+    takes them for the husband's utility, and :func:`_finite_utilities` only
+    on the lanes its bound and numpy's ``log`` leave undecided."""
     import numpy as np
 
     def libm(fn, domain):
@@ -150,16 +155,31 @@ def _arrays():
     return space
 
 
-def _finite_utilities(terms, ok, *columns):
+def _span(v):
+    """``(least, most)`` of a preference: one number, or a column of them."""
+    if isinstance(v, float):
+        return float(v), float(v)
+    return float(v.min()), float(v.max())
+
+
+def _finite_utilities(terms, bound, ok, *columns):
     """``ok``, narrowed to the lanes where every value of
     ``terms(log, *columns)`` (utilities and the logarithmic terms they sum)
     is finite, as the scalar routes decide it with libm's logarithm.
 
-    numpy's ``log`` runs first. It may differ from libm's in the last ulp,
-    which can decide finiteness only where a value is not finite or exceeds
-    half the largest float in magnitude; the lanes of ``ok`` where one does
-    are computed again with the libm ``log`` of :func:`_arrays`.
+    ``bound`` bounds every such value in magnitude on the lanes of ``ok``,
+    from the preferences' extremes and ``|ln v| <= _LN_RANGE``. Where it is
+    below half of ``_HALF_MAX``, rounding cannot carry a value past
+    ``_HALF_MAX``, so every value is finite under either logarithm and
+    ``ok`` is returned as it is, with no term computed. Otherwise, with
+    preferences near the float range, numpy's ``log`` runs. It may differ
+    from libm's in the last ulp, which can decide finiteness only where a
+    value is not finite or exceeds ``_HALF_MAX`` in magnitude; the lanes of
+    ``ok`` where one does are computed again with the libm ``log`` of
+    :func:`_arrays`.
     """
+    if bound < _HALF_MAX / 2:
+        return ok
     import numpy as np
 
     values = terms(np.log, *columns)
@@ -435,7 +455,12 @@ def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
     alpha, delta, gamma = columns[:3]
     with np.errstate(all="ignore"):
         _, rho, n, c_w, c_m, ok = _leader(_arrays(), *columns, subsidy)
-        ok = _finite_utilities(_linear_utilities, ok, alpha, delta, gamma, c_w, c_m, n)
+        # On the lanes of ok, c_w is a finite float at least a_w, c_m a
+        # normal float or a_m, and 0 <= n <= gamma/delta, so no utility term
+        # exceeds (1 + gamma)*_LN_RANGE + gamma + alpha*gamma/delta.
+        (_, a), (d, _), (_, g) = map(_span, (alpha, delta, gamma))
+        bound = (1.0 + g) * _LN_RANGE + g + a * g / d
+        ok = _finite_utilities(_linear_utilities, bound, ok, alpha, delta, gamma, c_w, c_m, n)
     if not np.ndim(rho):  # no household reached a transfer: all are refused
         n, rho = np.full(ok.shape, n), np.full(ok.shape, rho)
     return n, rho, c_w, c_m, ok

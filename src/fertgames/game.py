@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .core import ModelParams, Record, _record, participation, utility_linear_pair
+from .core import ModelParams, Record, _record, finite, participation, utility_linear_pair
 from .errors import NonPositiveParameter, NonPositiveTransfer, NumericalFailure
 # equilibrium_transfer is re-exported.
 from .extended import equilibrium_transfer, leader_optimum
@@ -67,7 +67,7 @@ def wife_reaction(p: ModelParams, rho: float) -> ReactionDecomposition:
     solutions satisfy ``gamma*rho/(a_w + rho*n) = delta``; when the transfer
     is too small to compensate her the response clamps to zero.
     """
-    if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 0):
+    if not (isinstance(rho, (int, float)) and finite(rho) and rho > 0):
         raise NonPositiveTransfer(f"transfer must be > 0, got {rho!r}")
     preference = p.gamma / p.delta
     transfer = -p.a_w / rho
@@ -91,7 +91,7 @@ def solve_game(p: ModelParams, subsidy: float = 0.0) -> GameEquilibrium:
     only ``rho``, and ``rho_star`` is 0 when he pays nothing, at the
     boundary or the no-birth corner.
     """
-    if not (isinstance(subsidy, (int, float)) and math.isfinite(subsidy) and subsidy >= 0):
+    if not (isinstance(subsidy, (int, float)) and finite(subsidy) and subsidy >= 0):
         raise NonPositiveParameter("subsidy", subsidy, requirement=">= 0")
     root, rho, n, c_w, c_m = leader_optimum(p, 0.0, subsidy)
     if rho is None:

@@ -12,9 +12,12 @@ beta, that row of ``default_rng([seed, b, 2]).random((rows, k))``. Both
 calls fill row by row, so a household draws the same whatever the size of
 its population or the cuts of its slices, and a test pins these calls. Kind
 0 is not used: SeedSequence pads its entropy with zero words, so
-``[seed, b, 0]`` would seed as ``[seed, b]`` does. Deciles rank the income
-ratios with numpy's default sort, and with a stable sort only where two
-ratios are equal.
+``[seed, b, 0]`` would seed as ``[seed, b]`` does. Deciles rank the
+households by (income ratio, index). Up to ``_PACKED`` households one sort
+of int64 keys ranks them, each key a ratio's bits with the household's
+index in its low bits; for more households, or where two keys share their
+high bits, numpy's default argsort ranks them, and a stable one only where
+two ratios are equal.
 
 A population is walked once, in slices of ``_CHUNK`` households: each
 slice is drawn, solved and reduced to its fertility, transfer and income
@@ -26,12 +29,14 @@ without a subsidy, shares with the extended model by the one body of
 :mod:`fertgames.extended` that also solves a single household. Each check of
 the scalar route (positive parameters, preference order, transfer, cubic
 range, consumption range, utility range) is an array mask, so the array
-route refuses exactly the households that the scalar route refuses. The
-first refused household of a slice is not re-solved: the scalar route runs
-on it once, only to raise its error. A positive subsidy is solvable under
-the transfer game only. It is funded from general revenue: it
-raises the wife's effective per-child receipt without touching either
-spouse's budget.
+route refuses exactly the households that the scalar route refuses. No
+utility is computed for the utility range where a bound from the
+preferences' extremes keeps every utility term finite, which holds unless
+a preference nears the float range. The first refused household of a
+slice is not re-solved: the scalar route runs on it once, only to raise
+its error. A positive subsidy is solvable under the transfer game only. It
+is funded from general revenue: it raises the wife's effective per-child
+receipt without touching either spouse's budget.
 
 Aggregates focus on the relative-income story: fertility by wife-to-husband
 income-ratio decile falls as the ratio rises, and the childless share tracks
@@ -52,10 +57,11 @@ from .core import (
     _record,
     benchmark_solve,
     check_subsidy,
+    finite,
     pooled_allocation,
 )
 from .errors import HouseholdSolveFailure, InvalidDistribution, ModelError, NumericalFailure
-from .extended import _finite_utilities, leader_optima, solve_extended
+from .extended import _LN_RANGE, _finite_utilities, _span, leader_optima, solve_extended
 from .game import solve_game
 
 if TYPE_CHECKING:
@@ -69,6 +75,13 @@ PreferenceDist = float | tuple[float, float]
 # Households per keyed block of draws; fixed, since it is part of the draw
 # contract.
 _BLOCK = 1 << 14
+# Up to this many households, the decile rank packs each household's index
+# into the low bits of its income ratio's bits. The 36 fraction bits left
+# tell apart any two ratios that differ by more than about 1.5e-11 relative.
+_PACKED = 1 << 16
+# Bytes per household that _ratio_order holds at its peak: an int64 order or
+# key array and a sorted copy or XOR of neighbours, 8 each, and a 1-byte mask.
+_RANK_BYTES = 17
 # Households drawn, solved and reduced per slice, which bounds the memory of
 # the drawn columns and the solver's temporaries. Slices need not align with
 # blocks.
@@ -107,7 +120,7 @@ class PopulationSpec(Record):
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise InvalidDistribution(f"seed must fit in 64 bits, got {self.seed!r}")
         for name, dist in (("aw_dist", self.aw_dist), ("am_dist", self.am_dist)):
-            if not (math.isfinite(dist.mu) and math.isfinite(dist.sigma) and dist.sigma >= 0):
+            if not (finite(dist.mu) and finite(dist.sigma) and dist.sigma >= 0):
                 raise InvalidDistribution(f"{name}: need finite mu and sigma >= 0, got {dist!r}")
         for name in PREFERENCES:
             _check_dist(name, getattr(self, name))
@@ -139,11 +152,11 @@ def _check_dist(name: str, dist: PreferenceDist) -> None:
         if len(dist) != 2:
             raise InvalidDistribution(f"{name}: range must be (lo, hi), got {dist!r}")
         lo, hi = dist
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
-            raise InvalidDistribution(f"{name}: need 0 < lo <= hi, got {dist!r}")
+        if not (finite(lo) and finite(hi) and 0 < lo <= hi):
+            raise InvalidDistribution(f"{name}: need finite 0 < lo <= hi, got {dist!r}")
     elif isinstance(dist, (int, float)):
-        if not (math.isfinite(dist) and dist > 0):
-            raise InvalidDistribution(f"{name}: fixed value must be > 0, got {dist!r}")
+        if not (finite(dist) and dist > 0):
+            raise InvalidDistribution(f"{name}: fixed value must be finite and > 0, got {dist!r}")
     else:
         raise InvalidDistribution(f"{name}: unsupported distribution {dist!r}")
 
@@ -255,8 +268,16 @@ def _solve_arrays(spec: PopulationSpec, alpha, delta, gamma, beta, a_w, a_m):
     if spec.model == "benchmark":
         with np.errstate(all="ignore"):
             c_w, c_m, n = pooled_allocation(alpha, delta, gamma, beta, a_w, a_m)
-            # Finite utilities need c_w, c_m and n finite and positive.
-            ok = _finite_utilities(_log_utilities, alpha > delta, alpha, delta, gamma, a_w,
+            # benchmark_solve requires alpha > delta and c_w, c_m and n
+            # positive and finite. Each utility term then sums logarithms of
+            # positive finite floats with weights of at most
+            # 2*(1 + alpha + gamma + delta) in magnitude in all.
+            ok = alpha > delta
+            for v in (c_w, c_m, n):
+                ok = ok & (0.0 < v) & (v < math.inf)
+            (_, a), (_, d), (_, g) = map(_span, (alpha, delta, gamma))
+            bound = 2.0 * (1.0 + a + g + d) * _LN_RANGE
+            ok = _finite_utilities(_log_utilities, bound, ok, alpha, delta, gamma, a_w,
                                    c_w, c_m, n)
         return n, None, ok
     paid = beta if spec.model == "extended" else 0.0
@@ -288,11 +309,30 @@ def _left_sum(values: np.ndarray, total: float | None = None) -> float | None:
 
 
 def _ratio_order(ratios: np.ndarray) -> np.ndarray:
-    """The indices that sort ``ratios``, equal ratios in index order.
-    numpy's default sort, vectorised where the CPU allows, is not stable, so
-    the stable sort runs only when two sorted neighbours are equal."""
+    """The indices that sort ``ratios``, which are >= 0 and not NaN, equal
+    ratios in index order.
+
+    Up to ``_PACKED`` ratios, one in-place sort of int64 keys ranks them. A
+    float >= 0 sorts as its bits do, and each key is a ratio's bits with the
+    ratio's index in the low ``(count - 1).bit_length()`` bits. Where no two
+    sorted keys share their high bits, no two ratios share them either, so
+    the keys sort as (ratio, index) do and their low bits are the order.
+    Otherwise, and for more ratios, numpy's default ``argsort``, vectorised
+    where the CPU allows, ranks them; it is not stable, so the stable sort
+    runs only when two sorted neighbours are equal.
+    """
     import numpy as np
 
+    count = len(ratios)
+    if count <= _PACKED:
+        mask = (1 << (count - 1).bit_length()) - 1
+        keys = ratios.view(np.int64) & ~mask
+        keys |= np.arange(count)
+        keys.sort()
+        if not np.count_nonzero((keys[1:] ^ keys[:-1]) <= mask):
+            keys &= mask
+            return keys
+        del keys
     order = np.argsort(ratios)
     ordered = ratios[order]
     if not (ordered[1:] == ordered[:-1]).any():
@@ -308,17 +348,23 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
     with its index and parameters and the scalar route's error as its cause,
     before the next slice is drawn. A population whose fertilities and
     income ratios, 16 bytes per household kept whole for the deciles, cannot
-    be allocated raises InvalidDistribution before any household is drawn.
+    be allocated beside the ``_RANK_BYTES`` per household that ranking them
+    takes raises InvalidDistribution before any household is drawn.
     """
     import numpy as np
 
     count = spec.count
     try:
         n, ratios = np.empty(count), np.empty(count)
+        # The rank's workspace is allocated, and freed at once, only to
+        # refuse here a count whose rank would fail after every household
+        # was solved.
+        np.empty(_RANK_BYTES * count, np.uint8)
     except MemoryError:
         raise InvalidDistribution(
-            f"a population of {count} households needs {16 * count} bytes for its "
-            "fertilities and income ratios, more than this process can allocate") from None
+            f"a population of {count} households needs {(16 + _RANK_BYTES) * count} bytes "
+            "for its fertilities and income ratios and their ranking, more than this "
+            "process can allocate") from None
     # The sums of the fertilities, the income ratios and the transfers of
     # households with children are carried from slice to slice, so only n
     # and the ratios, which the deciles sort, are kept whole.

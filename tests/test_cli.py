@@ -418,27 +418,47 @@ class TestSolveOnlyImports:
         assert lines == ["loaded: []", "loaded: []", "loaded: ['numpy', 'fertgames.population']"]
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
-def test_population_beyond_memory_exits_2(tmp_path):
-    # The child lowers its own address-space limit to 1.5 GB, so the 4.8 GB
-    # that 3*10**8 households need for their fertilities and income ratios
-    # cannot be allocated.
+def population_under_memory_limit(tmp_path, households):
+    """``fertgames population`` in a child that lowers its own address-space
+    limit to 1.5 GB, of which numpy's import takes about 0.15 GB."""
     script = textwrap.dedent(f"""
         import resource, sys
         limit = 1_500_000_000
         resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
         from fertgames.cli import run_command
-        sys.exit(run_command(["population", {GAME_ANCHOR!r}, "--households", "300000000"]))
+        sys.exit(run_command(["population", {GAME_ANCHOR!r}, "--households", "{households}"]))
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+def test_population_beyond_memory_exits_2(tmp_path):
+    # The 4.8 GB that 3*10**8 households need for their fertilities and
+    # income ratios cannot be allocated.
+    proc = population_under_memory_limit(tmp_path, 300_000_000)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (
-        "fertgames: invalid input: a population of 300000000 households needs 4800000000 "
-        "bytes for its fertilities and income ratios, more than this process can allocate\n")
+        "fertgames: invalid input: a population of 300000000 households needs 9900000000 "
+        "bytes for its fertilities and income ratios and their ranking, more than this "
+        "process can allocate\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+def test_population_whose_ranking_exceeds_memory_exits_2(tmp_path):
+    # The 0.8 GB of fertilities and income ratios of 5*10**7 households fit,
+    # but not the 0.85 GB more that ranking them takes: the count is refused
+    # before any household is drawn, not after all are solved.
+    proc = population_under_memory_limit(tmp_path, 50_000_000)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "fertgames: invalid input: a population of 50000000 households needs 1650000000 "
+        "bytes for its fertilities and income ratios and their ranking, more than this "
+        "process can allocate\n")
 
 
 class TestConsoleScript:

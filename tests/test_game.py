@@ -47,6 +47,8 @@ class TestWifeReaction:
     def test_rejects_nonpositive_transfer(self):
         with pytest.raises(NonPositiveTransfer):
             wife_reaction(ModelParams(1, 1, 1, 1, 1, 1), 0.0)
+        with pytest.raises(NonPositiveTransfer):  # an int beyond the float range
+            wife_reaction(ModelParams(1, 1, 1, 1, 1, 1), 10**400)
 
     @given(params_st, st.floats(0.05, 50.0))
     @settings(max_examples=200)

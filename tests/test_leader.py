@@ -124,7 +124,8 @@ def test_rearing_cost_with_subsidy_is_refused(entry):
                           np.array([0.0, p.beta]), s)
 
 
-@pytest.mark.parametrize("subsidy", [-0.1, math.nan, math.inf])
+@pytest.mark.parametrize("subsidy", [-0.1, math.nan, math.inf,
+                                     pytest.param(10**400, id="int-beyond-float")])
 def test_rejects_negative_or_nonfinite_subsidy(subsidy):
     with pytest.raises(NonPositiveParameter):
         solve_game(SCENARIO, subsidy)

@@ -23,7 +23,7 @@ from fertgames import (
     solve_game,
 )
 from conftest import LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY, UTILITY_OVERFLOW
-from fertgames import population
+from fertgames import extended, population
 from fertgames.core import replace
 from fertgames.extended import leader_optima, leader_optimum
 from fertgames.population import _solve_arrays, _solve_household, sample_household
@@ -313,11 +313,22 @@ class TestSpecValidation:
         with pytest.raises(InvalidDistribution):
             sample_households(point_spec(1, 1, alpha=(2.0, 1.0)))
 
-    @pytest.mark.parametrize("alpha", [(1.0, 2.0, 3.0), -1.0, "2"],
-                             ids=["three_bounds", "negative", "string"])
+    @pytest.mark.parametrize("alpha", [(1.0, 2.0, 3.0), -1.0, "2", 10**400, (1, 10**400)],
+                             ids=["three_bounds", "negative", "string", "int_beyond_float",
+                                  "range_to_int_beyond_float"])
     def test_rejects_bad_preference(self, alpha):
         with pytest.raises(InvalidDistribution):
             point_spec(1, 1, alpha=alpha)
+
+    @pytest.mark.parametrize("field,value", [
+        ("aw_dist", LogNormalSpec(10**400, 0.5)), ("am_dist", LogNormalSpec(0.0, 10**400)),
+        ("subsidy", 10**400)], ids=["mu", "sigma", "subsidy"])
+    def test_rejects_int_beyond_float_range(self, field, value):
+        # math.isfinite cannot convert such an int to a float.
+        fields = dict(count=1, seed=1, aw_dist=POINT, am_dist=POINT, alpha=2.0,
+                      delta=1.0, gamma=1.0, beta=1.0)
+        with pytest.raises(InvalidDistribution):
+            PopulationSpec(**{**fields, field: value})
 
     def test_rejects_subsidy_outside_game(self):
         with pytest.raises(InvalidDistribution):
@@ -739,3 +750,67 @@ def test_aggregate_reports_a_household_the_array_route_refuses(monkeypatch, mode
     assert isinstance(exc.value.__cause__, NumericalFailure)
     assert "the scalar route answers" in str(exc.value)
     assert slices == [64] * 4
+
+
+class TestUtilityBound:
+    """``_finite_utilities`` refuses what computing every utility term with
+    libm's log refuses, whether its bound decides or the terms do."""
+
+    # (alpha, delta, gamma) held fixed: the anchor, tiny values, gamma on
+    # each side of where the bound stops holding and where gamma*ln(c_w)
+    # overflows, and a leader term alpha*gamma/delta beyond the float range.
+    FIXED = [(2.0, 1.0, 1.0), (1e-300, 1e-300, 1e-300), (2.0, 1.0, 2.5e304),
+             (2.0, 1.0, 4e305), (2.0, 1.0, 1e307), (1e200, 1e-100, 1e10)]
+
+    @pytest.mark.parametrize("model,subsidy", [
+        ("benchmark", 0.0), ("game", 0.0), ("extended", 0.0), ("game", 0.5)])
+    def test_bound_refuses_as_the_full_check(self, monkeypatch, model, subsidy):
+        finite_utilities, held = extended._finite_utilities, []
+
+        def both(terms, bound, ok, *columns):
+            got = finite_utilities(terms, bound, ok.copy(), *columns)
+            # Every term, with libm's log lane by lane, as the scalar routes take it.
+            with np.errstate(all="ignore"):
+                values = terms(extended._arrays().log, *columns)
+            assert (got == ok & np.logical_and.reduce([np.isfinite(v) for v in values])).all()
+            held.append(bound < extended._HALF_MAX / 2)
+            return got
+
+        monkeypatch.setattr(extended, "_finite_utilities", both)
+        monkeypatch.setattr(population, "_finite_utilities", both)
+        spec = point_spec(1.0, 1.0, model=model, subsidy=subsidy)
+        for j, digits in enumerate((2, 10, 150, 300)):
+            columns = log_uniform_households([SEED_LEADER, 5, j], math.log(10.0**digits), 2000)
+            _solve_arrays(spec, *columns)  # ranged preferences
+            for alpha, delta, gamma in self.FIXED:
+                _solve_arrays(spec, alpha, delta, gamma, 1.0, *columns[4:])
+        assert len(held) == 4 * (1 + len(self.FIXED))
+        assert any(held) and not all(held)
+
+
+class TestRatioOrder:
+    """``_ratio_order`` ranks as numpy's stable argsort does, by the packed
+    keys up to ``_PACKED`` ratios and by argsort beyond them or where keys
+    collide."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 1000, 2**16, 2**16 + 1])
+    @pytest.mark.parametrize("kind", ["distinct", "zero_and_inf", "ties", "low_bits"])
+    def test_equals_stable_argsort(self, monkeypatch, count, kind):
+        rng = np.random.default_rng([count, len(kind)])
+        ratios = np.exp(rng.normal(0.0, 1.0, count))
+        if kind == "zero_and_inf":
+            ratios[rng.permutation(count)[:2]] = (0.0, math.inf)[:count]
+        elif kind == "ties":
+            ratios = ratios[rng.integers(0, max(1, count // 4), count)]
+        elif kind == "low_bits":
+            # Ratios a few ulps apart: their keys share their high bits.
+            bits = np.full(count, np.float64(1.5).view(np.int64))
+            ratios = (bits + rng.integers(0, 2 * count, count)).view(np.float64)
+        want = np.argsort(ratios, kind="stable")
+        kept = ratios.copy()
+        if kind in ("distinct", "zero_and_inf") and count <= population._PACKED:
+            # The packed keys rank these without an argsort.
+            monkeypatch.setattr(np, "argsort", None)
+        got = population._ratio_order(ratios)
+        assert got.dtype.kind == "i" and (got == want).all()
+        assert (ratios.view(np.int64) == kept.view(np.int64)).all()
