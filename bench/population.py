@@ -19,7 +19,8 @@ imports: numpy's random generators and the solver's array operations. Each
 point runs ``REPEATS`` times, with the points interleaved so that a slow
 stretch of a shared host falls on all of them; the file reports the median
 and the quartiles of the wall time and the median peak RSS. ``--quick``
-runs 10^3 and 10^4 households once each, only to keep the script working.
+runs 10^3 and 10^4 households once each, only to keep the script working,
+and prints the JSON document instead of writing it.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="10^3 and 10^4 households, one run each")
+                        help="10^3 and 10^4 households, one run each, printed, not written")
     args = parser.parse_args()
     counts, repeats = (QUICK_COUNTS, 1) if args.quick else (COUNTS, REPEATS)
     cpu = max(os.sched_getaffinity(0))
@@ -119,9 +120,12 @@ def main() -> None:
                      "peak_rss_mb_median": rss})
         print(f"{model:9} subsidy {subsidy:3}  {count:>9,} households  "
               f"{median:8.4f} s (IQR {q1:.4f}-{q3:.4f})  {rss:6.1f} MB")
+    document = json.dumps({"header": header(cpu, repeats), "points": rows}, indent=1)
+    if args.quick:  # keep the committed measurement
+        print(document)
+        return
     with open(OUT, "w") as f:
-        json.dump({"header": header(cpu, repeats), "points": rows}, f, indent=1)
-        f.write("\n")
+        f.write(document + "\n")
 
 
 if __name__ == "__main__":
