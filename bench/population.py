@@ -15,10 +15,13 @@ Every run of a point is a fresh interpreter, pinned to one CPU, that loads
 numpy and the program from this checkout's ``src``, times one
 ``aggregate`` call and reads its own ``ru_maxrss``. The call pays the
 first-use set-up that a ``fertgames population`` call pays after its
-imports: numpy's random generators and the solver's array operations. Each
+imports: numpy's random generators and the solver's array operations. The
+same process then times a second, warm call on seed 12, which pays none of
+it; at 10^3 to 10^4 households the set-up is most of the first call. Each
 point runs ``REPEATS`` times, with the points interleaved so that a slow
 stretch of a shared host falls on all of them; the file reports the median
-and the quartiles of the wall time and the median peak RSS. ``--quick``
+and the quartiles of both wall times and the median peak RSS of the first
+call. ``--quick``
 runs 10^3 and 10^4 households once each, only to keep the script working,
 and prints the JSON document instead of writing it.
 """
@@ -43,21 +46,27 @@ COUNTS = (10**3, 10**4, 10**5, 10**6)
 QUICK_COUNTS = (10**3, 10**4)
 REPEATS = 5
 
-# One run: argv is model, subsidy, households, CPU. Prints the aggregate
-# call's wall time in seconds and the process's peak RSS in KiB (Linux).
+# One run: argv is model, subsidy, households, CPU. Prints the first
+# aggregate call's wall time in seconds, the process's peak RSS in KiB
+# (Linux) after it, and the warm call's wall time in seconds.
 RUN = """
 import math, os, resource, sys, time
 model, subsidy, count, cpu = sys.argv[1], float(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 os.sched_setaffinity(0, {cpu})
 import numpy
 from fertgames import LogNormalSpec, PopulationSpec, aggregate
-spec = PopulationSpec(count=count, seed=11, aw_dist=LogNormalSpec(0.0, 0.5),
-                      am_dist=LogNormalSpec(math.log(3.0), 0.5), alpha=(1.5, 3.0),
-                      delta=1.0, gamma=1.0, beta=1.0, model=model, subsidy=subsidy)
+def spec(seed):
+    return PopulationSpec(count=count, seed=seed, aw_dist=LogNormalSpec(0.0, 0.5),
+                          am_dist=LogNormalSpec(math.log(3.0), 0.5), alpha=(1.5, 3.0),
+                          delta=1.0, gamma=1.0, beta=1.0, model=model, subsidy=subsidy)
+first, warm = spec(11), spec(12)
 start = time.perf_counter()
-aggregate(spec)
+aggregate(first)
 seconds = time.perf_counter() - start
-print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+aggregate(warm)
+print(seconds, kib, time.perf_counter() - start)
 """
 
 
@@ -82,13 +91,13 @@ def header(cpu: int, repeats: int) -> dict:
     }
 
 
-def run(model: str, subsidy: float, count: int, cpu: int) -> tuple[float, float]:
-    """``(seconds, peak RSS in MB)`` of one fresh process."""
+def run(model: str, subsidy: float, count: int, cpu: int) -> tuple[float, float, float]:
+    """``(seconds, peak RSS in MB, warm seconds)`` of one fresh process."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", RUN, model, str(subsidy), str(count), str(cpu)],
                           cwd=ROOT, env=env, capture_output=True, text=True, check=True)
-    seconds, kib = proc.stdout.split()
-    return float(seconds), int(kib) / 1024
+    seconds, kib, warm = proc.stdout.split()
+    return float(seconds), int(kib) / 1024, float(warm)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -113,13 +122,16 @@ def main() -> None:
 
     rows = []
     for (model, subsidy, count), results in runs.items():
-        q1, median, q3 = quartiles([seconds for seconds, _ in results])
-        rss = statistics.median(mb for _, mb in results)
+        q1, median, q3 = quartiles([seconds for seconds, _, _ in results])
+        w1, warm, w3 = quartiles([seconds for _, _, seconds in results])
+        rss = statistics.median(mb for _, mb, _ in results)
         rows.append({"model": model, "subsidy": subsidy, "households": count,
                      "seconds_median": median, "seconds_q1": q1, "seconds_q3": q3,
-                     "peak_rss_mb_median": rss})
+                     "warm_seconds_median": warm, "warm_seconds_q1": w1,
+                     "warm_seconds_q3": w3, "peak_rss_mb_median": rss})
         print(f"{model:9} subsidy {subsidy:3}  {count:>9,} households  "
-              f"{median:8.4f} s (IQR {q1:.4f}-{q3:.4f})  {rss:6.1f} MB")
+              f"{median:8.4f} s (IQR {q1:.4f}-{q3:.4f})  warm {warm:8.4f} s "
+              f"(IQR {w1:.4f}-{w3:.4f})  {rss:6.1f} MB")
     document = json.dumps({"header": header(cpu, repeats), "points": rows}, indent=1)
     if args.quick:  # keep the committed measurement
         print(document)

@@ -180,11 +180,11 @@ def validate_params(raw: ModelParams) -> ModelParams:
 
 
 def finite(value) -> bool:
-    """``math.isfinite(value)``, but False, not OverflowError, for an int
-    beyond the float range."""
+    """``math.isfinite(value)``, but False, not OverflowError or TypeError,
+    for an int beyond the float range or a value that is not a number."""
     try:
         return math.isfinite(value)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 

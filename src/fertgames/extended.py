@@ -43,10 +43,11 @@ rounded operations only, the logarithms are libm's, lane by lane). A step
 that could divide by zero, leave a function's domain or overflow runs only
 under ``if x.any(mask)``: on floats that is the branch a scalar solve takes;
 on arrays the step runs on every lane and ``x.where(mask, new, old)`` keeps
-it on the lanes of ``mask``. Each refusal clears a lane of one ``ok`` mask,
-which later steps respect; where ``ok`` is false the float entries raise
-NumericalFailure, and the array entry reports the household as refused.
-Both routes refuse the same households.
+it on the lanes of ``mask``; a Newton step's ``x.div`` gives NaN on floats
+(inf or NaN on arrays) for a zero divisor, and the step is dropped. Each
+refusal clears a lane of one ``ok`` mask, which later steps respect; where
+``ok`` is false the float entries raise NumericalFailure, and the array
+entry reports the household as refused. Both routes refuse the same households.
 
 With one admissible root in every model, the cultural regimes "low" and
 "high" (smallest or largest admissible root) coincide.
@@ -103,24 +104,25 @@ def _operations(**ops):
     return space
 
 
-# larger(a, b) is max(a, b), on floats and lane by lane on arrays: a, unless
-# b is strictly larger. largest(coeffs, e, ok) is the root of real_roots
-# times 2**e, NaN where no root is positive, and ok.
+# larger(a, b) is max(a, b): a, unless b is strictly larger. div(a, b) is a/b,
+# NaN on floats (inf or NaN on arrays) for a zero b. largest(coeffs, e, ok) is
+# the root of real_roots times 2**e, NaN where no root is positive, and ok.
 _FLOATS = _operations(
     any=operator.truth, where=lambda mask, a, b: a if mask else b, not_=operator.not_,
-    larger=lambda a, b: b if b > a else a, sqrt=math.sqrt, ldexp=math.ldexp,
-    frexp=math.frexp, log=math.log, log1p=math.log1p, isfinite=math.isfinite,
-    largest=lambda coeffs, e, ok: (
+    larger=lambda a, b: b if b > a else a, div=lambda a, b: a / b if b else math.nan,
+    sqrt=math.sqrt, ldexp=math.ldexp, frexp=math.frexp, log=math.log, log1p=math.log1p,
+    isfinite=math.isfinite, largest=lambda coeffs, e, ok: (
         math.ldexp(max(real_roots(coeffs), default=math.nan), e), ok))
 
 
 @functools.cache
 def _arrays():
     """The operations on numpy arrays, made on first use so that a process
-    which only solves single households never imports numpy. Their ``log``
-    and ``log1p`` call libm lane by lane, in Python: the subsidized leader
-    takes them for the husband's utility, and :func:`_finite_utilities` only
-    on the lanes its bound and numpy's ``log`` leave undecided."""
+    which only solves single households never imports numpy. Most are numpy
+    functions called directly: a slice of a few hundred lanes costs about the
+    count of its numpy calls. ``log`` and ``log1p`` call libm lane by lane: the
+    subsidized leader takes them for the husband's utility, and
+    :func:`_finite_utilities` where its bound and numpy's ``log`` cannot decide."""
     import numpy as np
 
     def libm(fn, domain):
@@ -132,26 +134,19 @@ def _arrays():
             return np.fromiter(map(fn, v.tolist()), float, len(v))
         return apply
 
-    def where(mask, a, b):
-        if type(a) is tuple:
-            return tuple([np.where(mask, u, v) for u, v in zip(a, b)])
-        return np.where(mask, a, b)
-
     def largest(coeffs, e, ok):
-        # A chained &, since a fixed preference may leave a coefficient scalar.
-        for c in coeffs:
-            ok = ok & np.isfinite(c)
         root, ok = _largest_root(space, *coeffs, ok)
         root = np.ldexp(root, e)  # inf where the scalar ldexp raises
         return root, ok & ~np.isinf(root)
 
     # On a 1,000-lane mask np.count_nonzero costs a sixth of np.any, which
-    # dispatches its reduction in Python.
+    # dispatches its reduction in Python. larger takes ints and positive
+    # incomes, where np.maximum is max.
     space = _operations(
-        any=np.count_nonzero, where=where, not_=np.logical_not,
-        larger=lambda a, b: np.where(b > a, b, a), sqrt=np.sqrt, ldexp=np.ldexp,
-        frexp=np.frexp, log=libm(math.log, lambda v: v > 0.0),
-        log1p=libm(math.log1p, lambda v: v > -1.0), isfinite=np.isfinite, largest=largest)
+        any=np.count_nonzero, where=np.where, not_=np.logical_not, div=np.divide,
+        larger=np.maximum, sqrt=np.sqrt, ldexp=np.ldexp, frexp=np.frexp,
+        log=libm(math.log, lambda v: v > 0.0), log1p=libm(math.log1p, lambda v: v > -1.0),
+        isfinite=np.isfinite, largest=largest)
     return space
 
 
@@ -218,12 +213,16 @@ def _largest_root(x, c3, c2, c1, c0, ok):
     """``(root, ok)`` of :func:`real_roots`, NaN where no root is positive. A
     root beyond the float range raises OverflowError on floats, is inf on arrays."""
     # c/c3 = q*2**(e - e3), q = m/m3. 2**u bounds |c2/c3|, |c1/c3|**(1/2) and
-    # |c0/c3|**(1/3), but a zero coefficient bounds nothing.
+    # |c0/c3|**(1/3); a zero coefficient bounds nothing. A finite coefficient's
+    # mantissa is below 1 in magnitude, so the mantissas sum to a finite value.
     (m3, e3), (q2, e2), (q1, e1), (q0, e0) = map(x.frexp, (c3, c2, c1, c0))
+    ok = ok & x.isfinite(m3 + q2 + q1 + q0)
     q2, q1, q0, e2, e1, e0 = q2 / m3, q1 / m3, q0 / m3, e2 - e3, e1 - e3, e0 - e3
-    u = -((-e0 - (abs(q0) > 1.0)) // 3)
-    u = x.larger(u, x.where(c1 != 0.0, -((-e1 - (abs(q1) > 1.0)) // 2), u))
-    u = x.larger(u, x.where(c2 != 0.0, e2 + (abs(q2) > 1.0), u))
+    u = (e0 + (abs(q0) > 1.0) + 2) // 3
+    u1, u2 = (e1 + (abs(q1) > 1.0) + 1) >> 1, e2 + (abs(q2) > 1.0)
+    if x.any((c1 == 0.0) | (c2 == 0.0)):
+        u1, u2 = x.where(c1 == 0.0, u, u1), x.where(c2 == 0.0, u, u2)
+    u = x.larger(x.larger(u, u1), u2)
     b, c, d = x.ldexp(q2, e2 - u), x.ldexp(q1, e1 - 2 * u), x.ldexp(q0, e0 - 3 * u)
     ok = ok & (abs(d) >= _TINY)
     # zc, the larger critical point, in a form that cannot cancel (b >= 0).
@@ -231,37 +230,38 @@ def _largest_root(x, c3, c2, c1, c0, ok):
     if x.any(disc > 0.0):
         zc = x.where(disc > 0.0, -c / (b + x.sqrt(disc)), zc)
     fzc = ((zc + b) * zc + c) * zc + d
-    dips = (zc > 0.0) & (fzc <= 0.0)
+    positive = zc > 0.0
+    dips = positive & (fzc <= 0.0)
     rooted = (d < 0.0) | dips
     # Bisect for the least 2**j right of zc where f >= 0, up from zc or from
     # the root's floor |d|/3.
-    lo, hi = x.where(zc > 0.0, x.frexp(zc)[1] - 1, x.frexp(d)[1] - 4), 2
+    lo, hi = x.where(positive, x.frexp(zc)[1] - 1, x.frexp(d)[1] - 4), 2
     for _ in range(_BISECTIONS):
-        if not x.any(hi - lo > 1):
+        mid = (lo + hi) >> 1  # lo where hi - lo <= 1
+        if not x.any(mid > lo):
             break
-        mid = (lo + hi) // 2
         z = x.ldexp(1.0, mid)
         right = (z > zc) & (((z + b) * z + c) * z + d >= 0.0)
-        lo, hi = x.where(right, (lo, mid), (mid, hi))
+        lo, hi = x.where(right, lo, mid), x.where(right, mid, hi)
     z = x.ldexp(1.0, hi)
     if x.any(dips):
         # f(zc + w) = f(zc) + (3*zc + b)*w**2 + w**3, so the root of its
         # quadratic part is right of the root, and near it at a near-double root.
         near = zc + x.sqrt(-fzc / (3.0 * zc + b))
         z = x.where(dips & (near < z), near, z)
-    # Newton steps, on each lane until a step no longer shrinks the residual.
-    active, fz = ok & rooted, ((z + b) * z + c) * z + d
+    # Newton steps while one shrinks the residual: every lane takes each step
+    # and keeps it where it shrank, else repeats it. A zero slope (div gives
+    # NaN or inf) or residual shrinks nothing, nor a lane outside ok & rooted (fz = 0).
+    fz, b2 = x.where(ok & rooted, ((z + b) * z + c) * z + d, 0.0), 2.0 * b
+    lanes = getattr(z, "size", 1)  # 1 on floats, where any is a bool
     for _ in range(_NEWTON_STEPS):
-        dfz = (3.0 * z + 2.0 * b) * z + c
-        active = active & (fz != 0.0) & (dfz != 0.0)
-        if not x.any(active):
-            break
-        nxt = z - fz / dfz
+        nxt = z - x.div(fz, (3.0 * z + b2) * z + c)
         fn = ((nxt + b) * nxt + c) * nxt + d
-        active = active & (abs(fn) < abs(fz))
-        if not x.any(active):
+        shrank = abs(fn) < abs(fz)
+        kept = x.any(shrank)  # a count on arrays
+        if not kept:
             break
-        z, fz = x.where(active, (nxt, fn), (z, fz))
+        z, fz = (nxt, fn) if kept == lanes else (x.where(shrank, nxt, z), x.where(shrank, fn, fz))
     return x.ldexp(x.where(rooted, z, math.nan), u), ok
 
 
@@ -368,7 +368,7 @@ def _leader(x, alpha, delta, gamma, a_w, a_m, paid, subsidy):
                     & (coeffs[0] != 0.0) & (coeffs[3] != 0.0))
         if x.any(cubic_ok):
             largest, cubic_ok = x.largest(coeffs, e, cubic_ok)
-            r = x.where(zero, r, largest)
+            r = x.where(zero, r, largest) if x.any(zero) else largest
         ok = ok & (zero | cubic_ok)
     root = r
 
@@ -398,10 +398,10 @@ def _leader(x, alpha, delta, gamma, a_w, a_m, paid, subsidy):
         n_edge = g - a_w / subsidy
         edge = (n_edge > 0.0) & (alpha * n_edge > x.where(found, u, 0.0))
         found = found | edge
-        r, n, c_m = x.where(edge, (subsidy, n_edge, a_m), (r, n, c_m))
+        r, n, c_m = x.where(edge, subsidy, r), x.where(edge, n_edge, n), x.where(edge, a_m, c_m)
 
-    n, rho, c_w, c_m = x.where(found, (n, r - subsidy, a_w + r * n, c_m),
-                               (0.0, math.nan, a_w, a_m))
+    n, rho, c_w, c_m = (x.where(found, n, 0.0), x.where(found, r - subsidy, math.nan),
+                        x.where(found, a_w + r * n, a_w), x.where(found, c_m, a_m))
     # A paid transfer needs a normal c_m; the wife's c_w must be finite.
     ok = ok & (x.not_(rho > 0.0) | _normal(c_m)) & x.isfinite(c_w)
     return root, rho, n, c_w, c_m, ok

@@ -22,6 +22,7 @@ from typing import Callable
 from .core import (
     BenchmarkSolution,
     ModelParams,
+    finite,
     participation,
     utility_linear_pair,
 )
@@ -190,7 +191,7 @@ def oracle_game(
     only ``rho`` per child. With ``subsidy = 0`` this reproduces the
     closed-form game equilibrium up to search tolerance.
     """
-    if not (isinstance(subsidy, (int, float)) and math.isfinite(subsidy) and subsidy >= 0):
+    if not (isinstance(subsidy, (int, float)) and finite(subsidy) and subsidy >= 0):
         raise ValueError(f"subsidy must be a finite value >= 0, got {subsidy!r}")
 
     hi = game_transfer_ceiling(p, subsidy) * (1.0 - 1e-9)

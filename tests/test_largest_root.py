@@ -10,7 +10,9 @@ its coefficients. A root must lie within a few units in the last place,
 times its condition number, of the certified one.
 """
 
+import hashlib
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -142,3 +144,48 @@ def test_root_beyond_the_float_range_raises_numerical_failure():
         _largest_root(_FLOATS, *coeffs, True)
     with pytest.raises(NumericalFailure, match="beyond the floating-point range"):
         real_roots(coeffs)
+
+
+def pinned_cubics(count: int):
+    """Cubics from ``random.Random``, built with exact or correctly rounded
+    operations only, so that they are the same on every platform: leader
+    cubics from parameters ``m*2**e``, ``2**|e|`` up to 1e2, 1e10, 1e50,
+    1e150 or 1e300, with ``k`` of both signs, and near-double roots
+    ``(z - t)**2 * (z + w)`` lifted or lowered by a few ulps of ``c0``,
+    scaled by powers of two."""
+    rng = random.Random(20261020)
+    out = []
+    while len(out) < count:
+        bits = rng.choice((7, 33, 166, 498, 997))  # 2**bits: 1e2, 1e10, ..., 1e300
+        if rng.random() < 0.8:
+            alpha, delta, gamma, k, a_w, a_m = (
+                math.ldexp(0.5 + rng.random() / 2, rng.randint(-bits, bits)) for _ in range(6))
+            e, aw, am = _units(_FLOATS, a_w, a_m)
+            try:  # as in the leader solve, which refuses these households
+                coeffs = _leader_cubic(gamma / delta, alpha, aw, am,
+                                       math.ldexp(rng.choice((1, -1)) * k, -e))
+            except (ZeroDivisionError, OverflowError):
+                continue
+        else:
+            t, s = 0.5 + rng.random(), rng.randint(-bits // 3, bits // 3)
+            w = 2.0 * t + rng.random()
+            c0 = t * t * w * (1.0 + rng.choice((1, -1)) * rng.randint(1, 64) * ULP)
+            coeffs = (1.0, math.ldexp(w - 2.0 * t, s), math.ldexp(t * t - 2.0 * t * w, 2 * s),
+                      math.ldexp(c0, 3 * s))
+        if all(map(math.isfinite, coeffs)) and coeffs[0] != 0.0 and coeffs[3] != 0.0:
+            out.append(coeffs)
+    return out
+
+
+# SHA-256 of the roots of pinned_cubics(4000) as real_roots gives them. It
+# changes only where a root's bits change, on both routes alike or not.
+PINNED_ROOTS = "8570b22bc8ef65c9c5108788135b78a2081a07ab180aabde13d8994e742e8175"
+
+
+def test_roots_match_the_pinned_digest():
+    cubics = pinned_cubics(4000)
+    results = both_routes(cubics)
+    assert {len(got) for got in results if got is not None} == {0, 1}
+    assert None in results  # some roots spread beyond the float range
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == PINNED_ROOTS

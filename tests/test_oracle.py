@@ -136,6 +136,11 @@ class TestOracleGame:
         with pytest.raises(ValueError):
             oracle_game(BOUNDARY_UNIT, subsidy=-0.1)
 
+    def test_rejects_int_beyond_float_range(self):
+        # math.isfinite cannot convert such an int to a float.
+        with pytest.raises(ValueError, match="finite"):
+            oracle_game(BOUNDARY_UNIT, subsidy=10**400)
+
 
 class TestCeilings:
     def test_game_ceiling_without_subsidy(self, rng):

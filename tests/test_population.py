@@ -299,6 +299,9 @@ class TestBatchedSampling:
 
 
 class TestSpecValidation:
+    FIELDS = dict(count=1, seed=1, aw_dist=POINT, am_dist=POINT, alpha=2.0, delta=1.0,
+                  gamma=1.0, beta=1.0)
+
     def test_rejects_zero_count(self):
         with pytest.raises(InvalidDistribution):
             sample_households(point_spec(1, 1, count=0))
@@ -325,10 +328,16 @@ class TestSpecValidation:
         ("subsidy", 10**400)], ids=["mu", "sigma", "subsidy"])
     def test_rejects_int_beyond_float_range(self, field, value):
         # math.isfinite cannot convert such an int to a float.
-        fields = dict(count=1, seed=1, aw_dist=POINT, am_dist=POINT, alpha=2.0,
-                      delta=1.0, gamma=1.0, beta=1.0)
         with pytest.raises(InvalidDistribution):
-            PopulationSpec(**{**fields, field: value})
+            PopulationSpec(**{**self.FIELDS, field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("aw_dist", LogNormalSpec("0", 0.5)), ("am_dist", LogNormalSpec(0.0, "0.5")),
+        ("alpha", ("1", 2.0)), ("subsidy", "0.5")], ids=["mu", "sigma", "range_bound", "subsidy"])
+    def test_rejects_non_number(self, field, value):
+        # math.isfinite raises TypeError for a string.
+        with pytest.raises(InvalidDistribution, match="finite"):
+            PopulationSpec(**{**self.FIELDS, field: value})
 
     def test_rejects_subsidy_outside_game(self):
         with pytest.raises(InvalidDistribution):

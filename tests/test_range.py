@@ -2,8 +2,8 @@
 
 Every route returns only finite floats or raises a ModelError; a valid input
 whose answer leaves the floating-point range is a NumericalFailure, exit 3
-from the CLI. The leader cubic's routes (extended game, subsidized game) are
-not covered here.
+from the CLI. The leader cubic's routes are covered too: the extended game,
+and the subsidized game at a subsidy of 0.5 and at one equal to a_w.
 """
 
 import math
@@ -19,13 +19,28 @@ from fertgames import (
     build_report,
     fd_check,
     fertility_threshold,
+    solve_extended,
     solve_game,
 )
 from fertgames.cli import run_command
 from fertgames.core import Record
 from fertgames.statics import ratio_fd
 
-ROUTES = (benchmark_solve, solve_game, fertility_threshold, build_report, ratio_fd)
+
+def extended_high(p):
+    return solve_extended(p, "high")
+
+
+def subsidy_half(p):
+    return solve_game(p, 0.5)
+
+
+def subsidy_a_w(p):
+    return solve_game(p, p.a_w)
+
+
+ROUTES = (benchmark_solve, solve_game, fertility_threshold, build_report, ratio_fd,
+          extended_high, subsidy_half, subsidy_a_w)
 
 # The power-of-two scaling of the game's quadratic flushes a_w to zero.
 FLUSHED_INCOME = ModelParams(2, 1, 1, 1, 5e-324, 3)
@@ -58,10 +73,11 @@ def floats(value):
         yield value
 
 
-@pytest.mark.parametrize("decades", [150, 300])
+@pytest.mark.parametrize("decades", [10, 150, 300])
 def test_finite_or_model_error(decades):
     rng = np.random.default_rng([20251018, decades])
     span = decades * math.log(10.0)
+    answered = dict.fromkeys(ROUTES, 0)
     for _ in range(2000):
         p = ModelParams(*map(float, np.exp(rng.uniform(-span, span, 6))))
         for route in ROUTES:
@@ -70,6 +86,8 @@ def test_finite_or_model_error(decades):
             except ModelError:
                 continue
             assert all(map(math.isfinite, floats(result))), (route.__name__, p, result)
+            answered[route] += 1
+    assert all(answered.values()), answered
 
 
 @pytest.mark.parametrize("route,p", [
