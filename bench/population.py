@@ -9,7 +9,10 @@ per point. A point is one model at one population size, in the
 configuration of CI's population memory smoke: seed 11, incomes
 ``LogNormal(0, 0.5)`` and ``LogNormal(ln 3, 0.5)``, ``alpha`` uniform on
 [1.5, 3], the other preferences 1, and the game with and without a subsidy
-of 0.5, the extended model and the benchmark model.
+of 0.5, the extended model and the benchmark model. The file's header names
+the commit, whether the source differs from it, and ``src_sha256``, a
+digest of the measured ``src/fertgames/*.py`` that identifies the code even
+where it was not committed.
 
 Every run of a point is a fresh interpreter, pinned to one CPU, that loads
 numpy and the program from this checkout's ``src``, times one
@@ -29,6 +32,8 @@ and prints the JSON document instead of writing it.
 from __future__ import annotations
 
 import argparse
+import glob
+import hashlib
 import json
 import os
 import platform
@@ -75,7 +80,17 @@ def git(*args: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def header(cpu: int, repeats: int) -> dict:
+def src_sha256() -> str:
+    """SHA-256 over the measured source: the name and bytes of each
+    ``src/fertgames/*.py``, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(SRC, "fertgames", "*.py"))):
+        with open(path, "rb") as f:
+            digest.update(os.path.basename(path).encode() + b"\0" + f.read())
+    return digest.hexdigest()
+
+
+def header(cpu: int, repeats: int, source: str) -> dict:
     import numpy
 
     status = git("status", "--porcelain", "--", "src")
@@ -83,6 +98,7 @@ def header(cpu: int, repeats: int) -> dict:
         "commit": git("rev-parse", "HEAD"),
         # The measured source differs from the commit.
         "src_modified": None if status is None else bool(status),
+        "src_sha256": source,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
@@ -116,6 +132,7 @@ def main() -> None:
     cpu = max(os.sched_getaffinity(0))
     points = [(model, subsidy, count) for count in counts for model, subsidy in CASES]
     runs = {point: [] for point in points}
+    source = src_sha256()
     for _ in range(repeats):
         for point in points:
             runs[point].append(run(*point, cpu))
@@ -132,7 +149,9 @@ def main() -> None:
         print(f"{model:9} subsidy {subsidy:3}  {count:>9,} households  "
               f"{median:8.4f} s (IQR {q1:.4f}-{q3:.4f})  warm {warm:8.4f} s "
               f"(IQR {w1:.4f}-{w3:.4f})  {rss:6.1f} MB")
-    document = json.dumps({"header": header(cpu, repeats), "points": rows}, indent=1)
+    if src_sha256() != source:
+        sys.exit("the source under src/fertgames changed during the run")
+    document = json.dumps({"header": header(cpu, repeats, source), "points": rows}, indent=1)
     if args.quick:  # keep the committed measurement
         print(document)
         return

@@ -43,8 +43,8 @@ rounded operations only, the logarithms are libm's, lane by lane). A step
 that could divide by zero, leave a function's domain or overflow runs only
 under ``if x.any(mask)``: on floats that is the branch a scalar solve takes;
 on arrays the step runs on every lane and ``x.where(mask, new, old)`` keeps
-it on the lanes of ``mask``; a Newton step's ``x.div`` gives NaN on floats
-(inf or NaN on arrays) for a zero divisor, and the step is dropped. Each
+it on the lanes of ``mask``; ``x.div`` gives NaN on floats (inf or NaN on
+arrays) for a zero divisor, which drops a Newton step or a bound. Each
 refusal clears a lane of one ``ok`` mask, which later steps respect; where
 ``ok`` is false the float entries raise NumericalFailure, and the array
 entry reports the household as refused. Both routes refuse the same households.
@@ -67,7 +67,6 @@ from .errors import NumericalFailure
 REGIMES = ("low", "high")
 
 _NEWTON_STEPS = 8
-_BISECTIONS = 11  # the exponents (-1075, 2]: 1077 < 2**11
 _TINY = sys.float_info.min
 # A value within this bound stays finite when a logarithm it sums moves by an ulp.
 _HALF_MAX = sys.float_info.max / 2
@@ -104,15 +103,15 @@ def _operations(**ops):
     return space
 
 
-# larger(a, b) is max(a, b): a, unless b is strictly larger. div(a, b) is a/b,
-# NaN on floats (inf or NaN on arrays) for a zero b. largest(coeffs, e, ok) is
-# the root of real_roots times 2**e, NaN where no root is positive, and ok.
+# larger(a, b) is max(a, b): a unless b is strictly larger; smaller(a, b) is min(a, b): b
+# unless a is strictly smaller (b where a is NaN). div(a, b) is a/b, NaN on floats (inf or
+# NaN on arrays) for a zero b. largest(coeffs, e, ok) is (real_roots' root*2**e or NaN, ok).
 _FLOATS = _operations(
     any=operator.truth, where=lambda mask, a, b: a if mask else b, not_=operator.not_,
-    larger=lambda a, b: b if b > a else a, div=lambda a, b: a / b if b else math.nan,
-    sqrt=math.sqrt, ldexp=math.ldexp, frexp=math.frexp, log=math.log, log1p=math.log1p,
-    isfinite=math.isfinite, largest=lambda coeffs, e, ok: (
-        math.ldexp(max(real_roots(coeffs), default=math.nan), e), ok))
+    larger=lambda a, b: b if b > a else a, smaller=lambda a, b: a if a < b else b,
+    div=lambda a, b: a / b if b else math.nan, sqrt=math.sqrt, ldexp=math.ldexp,
+    frexp=math.frexp, log=math.log, log1p=math.log1p, isfinite=math.isfinite,
+    largest=lambda coeffs, e, ok: (math.ldexp(max(real_roots(coeffs), default=math.nan), e), ok))
 
 
 @functools.cache
@@ -141,10 +140,10 @@ def _arrays():
 
     # On a 1,000-lane mask np.count_nonzero costs a sixth of np.any, which
     # dispatches its reduction in Python. larger takes ints and positive
-    # incomes, where np.maximum is max.
+    # incomes, where np.maximum is max; np.fmin, unlike np.minimum, skips a NaN.
     space = _operations(
         any=np.count_nonzero, where=np.where, not_=np.logical_not, div=np.divide,
-        larger=np.maximum, sqrt=np.sqrt, ldexp=np.ldexp, frexp=np.frexp,
+        larger=np.maximum, smaller=np.fmin, sqrt=np.sqrt, ldexp=np.ldexp, frexp=np.frexp,
         log=libm(math.log, lambda v: v > 0.0), log1p=libm(math.log1p, lambda v: v > -1.0),
         isfinite=np.isfinite, largest=largest)
     return space
@@ -230,25 +229,16 @@ def _largest_root(x, c3, c2, c1, c0, ok):
     if x.any(disc > 0.0):
         zc = x.where(disc > 0.0, -c / (b + x.sqrt(disc)), zc)
     fzc = ((zc + b) * zc + c) * zc + d
-    positive = zc > 0.0
-    dips = positive & (fzc <= 0.0)
+    dips = (zc > 0.0) & (fzc <= 0.0)
     rooted = (d < 0.0) | dips
-    # Bisect for the least 2**j right of zc where f >= 0, up from zc or from
-    # the root's floor |d|/3.
-    lo, hi = x.where(positive, x.frexp(zc)[1] - 1, x.frexp(d)[1] - 4), 2
-    for _ in range(_BISECTIONS):
-        mid = (lo + hi) >> 1  # lo where hi - lo <= 1
-        if not x.any(mid > lo):
-            break
-        z = x.ldexp(1.0, mid)
-        right = (z > zc) & (((z + b) * z + c) * z + d >= 0.0)
-        lo, hi = x.where(right, lo, mid), x.where(right, mid, hi)
-    z = x.ldexp(1.0, hi)
-    if x.any(dips):
-        # f(zc + w) = f(zc) + (3*zc + b)*w**2 + w**3, so the root of its
-        # quadratic part is right of the root, and near it at a near-double root.
-        near = zc + x.sqrt(-fzc / (3.0 * zc + b))
-        z = x.where(dips & (near < z), near, z)
+    # The root is base + w with w**2*(w + a) <= fb = |f(base)|: on a dip base = zc
+    # and f(zc + w) = f(zc) + a*w**2 + w**3, a = 3*zc + b; otherwise base = 0,
+    # c >= 0 (0 is right of zc) and a = b. So w <= sqrt(fb/a) and w <= fb**(1/3)
+    # < 2**ceil(e/3), fb = m*2**e: Newton starts right of the root, at the smaller
+    # bound (div: NaN or inf where a = 0), and every root is below 2.
+    base, fb = x.where(dips, zc, 0.0), abs(x.where(dips, fzc, d))
+    w = x.smaller(x.sqrt(x.div(fb, 3.0 * base + b)), x.ldexp(1.0, (x.frexp(fb)[1] + 2) // 3))
+    z = x.smaller(base + w, 2.0)
     # Newton steps while one shrinks the residual: every lane takes each step
     # and keeps it where it shrank, else repeats it. A zero slope (div gives
     # NaN or inf) or residual shrinks nothing, nor a lane outside ok & rooted (fz = 0).
@@ -274,8 +264,9 @@ def real_roots(coeffs: tuple[float, float, float, float]) -> tuple[float, ...]:
     Scaled by a power of two read from the coefficients' exponents, the
     monic cubic has coefficients in [-1, 1] and roots below 2. Right of its
     larger critical point it is convex and increasing, so Newton steps
-    descend to the root from the least power of two there at which it is
-    nonnegative (Kahan, "To Solve a Real Cubic Equation", 1986). Only
+    descend to the root from a start there, right of the root: the smaller
+    of a square-root and a power-of-two bound on the root's distance from
+    that point or from 0 (Kahan, "To Solve a Real Cubic Equation", 1986). Only
     correctly rounded operations are used (IEEE 754-2019 5.4), so the array
     route gives the same bits.
 

@@ -19,11 +19,12 @@ import numpy as np
 import pytest
 
 from fertgames import NumericalFailure, real_roots
+from fertgames import extended
 from fertgames.extended import _FLOATS, _arrays, _largest_root, _leader_cubic, _units
 
 ULP = 2.0**-53
 SEED_ROOTS = 20251019
-SPANS = {"e2": 2.0, "1e10": math.log(1e10), "1e150": math.log(1e150)}
+SPANS = {"e2": 2.0, "1e10": math.log(1e10), "1e50": math.log(1e50), "1e150": math.log(1e150)}
 
 
 def mp_largest(coeffs, dps: int):
@@ -122,6 +123,13 @@ NAMED = {
     "no positive root": (1.0, 0.5, -2.0, 1.0),
     # The root is about -c0/c1, three times the smallest normal float.
     "root near the normal floor": (1.0, 0.0, 1.0, -3.0 * 2.0**-1022),
+    # (z - 1)**2 * (z + 2): the residual at the critical point z = 1 is 0.
+    "double root at the critical point": (1.0, 0.0, -3.0, 2.0),
+    # A dip where fb**(1/3) bounds the step from zc = 1e-3 more tightly than
+    # sqrt(fb/a): a = 3*zc is small.
+    "dip bounded by the cube": (1.0, 0.0, -3e-6, -1.0),
+    # The double root lowered by one ulp of c0: roots 1 -+ 2**-26/sqrt(3).
+    "double root lowered by an ulp": (1.0, 0.0, -3.0, 2.0 - 2.0**-52),
 }
 
 
@@ -134,6 +142,7 @@ def test_named_cubics_match_mpmath():
     by_name = dict(zip(NAMED, results))
     assert by_name["no positive root"] == ()
     assert 2.0**-1022 < by_name["root near the normal floor"][0] < 2.0**-1020
+    assert by_name["double root at the critical point"] == (1.0,)
 
 
 def test_root_beyond_the_float_range_raises_numerical_failure():
@@ -179,7 +188,7 @@ def pinned_cubics(count: int):
 
 # SHA-256 of the roots of pinned_cubics(4000) as real_roots gives them. It
 # changes only where a root's bits change, on both routes alike or not.
-PINNED_ROOTS = "8570b22bc8ef65c9c5108788135b78a2081a07ab180aabde13d8994e742e8175"
+PINNED_ROOTS = "d65067c18f5062a82f7f1971437dda1b25d2230b58815599c01cb21c7acc9159"
 
 
 def test_roots_match_the_pinned_digest():
@@ -189,3 +198,11 @@ def test_roots_match_the_pinned_digest():
     assert None in results  # some roots spread beyond the float range
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     assert digest == PINNED_ROOTS
+
+
+def test_newton_cap_never_binds(monkeypatch):
+    # Every descent stops on its own: more steps move no root and no refusal.
+    cubics = pinned_cubics(4000)
+    capped = both_routes(cubics)
+    monkeypatch.setattr(extended, "_NEWTON_STEPS", 64)
+    assert repr(both_routes(cubics)) == repr(capped)
