@@ -18,6 +18,7 @@ the independent grid-search optimizer in :mod:`fertgames.oracle`.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import (
     DomainError,
@@ -30,6 +31,7 @@ from .errors import (
 # Slack for the weak participation inequalities, so an agent exactly at the
 # reservation utility counts as participating.
 PARTICIPATION_TOL = 1e-12
+_TINY = sys.float_info.min
 
 
 class FrozenRecordError(AttributeError):
@@ -179,6 +181,11 @@ def validate_params(raw: ModelParams) -> ModelParams:
     return raw
 
 
+def _normal(x):
+    """Whether ``x``, a float or an array, is a positive normal float."""
+    return (x >= _TINY) & (x < math.inf)
+
+
 def finite(value) -> bool:
     """``math.isfinite(value)``, but False, not OverflowError or TypeError,
     for an int beyond the float range or a value that is not a number."""
@@ -292,15 +299,17 @@ def benchmark_solve(p: ModelParams) -> BenchmarkSolution:
     Requires ``alpha > delta``; with the order reversed the child weight is
     non-positive and the supremum degenerates (utility grows without bound
     as n shrinks to zero), so that case is a hard error rather than a clamp.
-    An allocation or utility outside the float range raises NumericalFailure.
+    An allocation outside the normal float range, whose digits would be
+    lost, or a utility outside the float range raises NumericalFailure.
     """
     if not p.alpha > p.delta:
         raise PreferenceOrderViolated(
             f"alpha={p.alpha!r} must exceed delta={p.delta!r}"
         )
     c_w, c_m, n = pooled_allocation(p.alpha, p.delta, p.gamma, p.beta, p.a_w, p.a_m)
-    if not all(0.0 < v < math.inf for v in (c_w, c_m, n)):
-        raise NumericalFailure(f"pooled allocation {(c_w, c_m, n)!r} leaves the float range")
+    if not all(map(_normal, (c_w, c_m, n))):
+        raise NumericalFailure(
+            f"pooled allocation {(c_w, c_m, n)!r} leaves the normal float range")
     u_family = (
         p.gamma * math.log(c_w)
         + math.log(c_m)

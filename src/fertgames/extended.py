@@ -58,20 +58,14 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 import types
 
-from .core import ModelParams, Record, _record, participation, utility_linear_pair
+from .core import _TINY, ModelParams, Record, _normal, _record, participation, utility_linear_pair
 from .errors import NumericalFailure
 
 REGIMES = ("low", "high")
 
 _NEWTON_STEPS = 8
-_TINY = sys.float_info.min
-# A value within this bound stays finite when a logarithm it sums moves by an ulp.
-_HALF_MAX = sys.float_info.max / 2
-# |ln v| < _LN_RANGE for every positive finite float v: ln(2**-1074) = -744.44.
-_LN_RANGE = 745.0
 
 
 class ExtendedEquilibrium(Record):
@@ -119,9 +113,8 @@ def _arrays():
     """The operations on numpy arrays, made on first use so that a process
     which only solves single households never imports numpy. Most are numpy
     functions called directly: a slice of a few hundred lanes costs about the
-    count of its numpy calls. ``log`` and ``log1p`` call libm lane by lane: the
-    subsidized leader takes them for the husband's utility, and
-    :func:`_finite_utilities` where its bound and numpy's ``log`` cannot decide."""
+    count of its numpy calls. ``log`` and ``log1p`` call libm lane by lane, for
+    the husband's utility that the subsidized leader compares."""
     import numpy as np
 
     def libm(fn, domain):
@@ -147,57 +140,6 @@ def _arrays():
         log=libm(math.log, lambda v: v > 0.0), log1p=libm(math.log1p, lambda v: v > -1.0),
         isfinite=np.isfinite, largest=largest)
     return space
-
-
-def _span(v):
-    """``(least, most)`` of a preference: one number, or a column of them."""
-    if isinstance(v, float):
-        return float(v), float(v)
-    return float(v.min()), float(v.max())
-
-
-def _finite_utilities(terms, bound, ok, *columns):
-    """``ok``, narrowed to the lanes where every value of
-    ``terms(log, *columns)`` (utilities and the logarithmic terms they sum)
-    is finite, as the scalar routes decide it with libm's logarithm.
-
-    ``bound`` bounds every such value in magnitude on the lanes of ``ok``,
-    from the preferences' extremes and ``|ln v| <= _LN_RANGE``. Where it is
-    below half of ``_HALF_MAX``, rounding cannot carry a value past
-    ``_HALF_MAX``, so every value is finite under either logarithm and
-    ``ok`` is returned as it is, with no term computed. Otherwise, with
-    preferences near the float range, numpy's ``log`` runs. It may differ
-    from libm's in the last ulp, which can decide finiteness only where a
-    value is not finite or exceeds ``_HALF_MAX`` in magnitude; the lanes of
-    ``ok`` where one does are computed again with the libm ``log`` of
-    :func:`_arrays`.
-    """
-    if bound < _HALF_MAX / 2:
-        return ok
-    import numpy as np
-
-    values = terms(np.log, *columns)
-    inside = np.ones(np.broadcast(*values).shape, dtype=bool)
-    for value in values:
-        inside &= np.abs(value) <= _HALF_MAX
-    near, ok = ok & ~inside, ok & inside
-    if np.count_nonzero(near):
-        lanes = np.flatnonzero(near)
-        values = terms(_arrays().log, *(c[lanes] if np.ndim(c) else c for c in columns))
-        ok[lanes] = np.logical_and.reduce([np.isfinite(value) for value in values])
-    return ok
-
-
-def _linear_utilities(log, alpha, delta, gamma, c_w, c_m, n):
-    """The utilities of :func:`~fertgames.core.utility_linear_pair` and the
-    wife's logarithmic term."""
-    wife = gamma * log(c_w)
-    return wife, wife - delta * n, log(c_m) + alpha * n
-
-
-def _normal(x):
-    """Whether ``x``, a float or an array, is a positive normal float."""
-    return (x >= _TINY) & (x < math.inf)
 
 
 def _leader_cubic(g, alpha, a_w, a_m, k):
@@ -431,11 +373,9 @@ def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
     ``subsidy`` is one float. A float is not broadcast: a preference fixed
     across the households stays one number through every step it enters.
     Returns the arrays ``(n, rho, c_w, c_m, ok)``, with ``rho`` NaN at the
-    no-birth corner.
-    Households outside ``ok`` are those the scalar route refuses, or whose
-    utilities (:func:`~fertgames.core.utility_linear_pair`) are not finite;
-    their values here mean nothing. Raises ValueError, as the scalar route
-    does, where a household pays ``paid > 0`` under a subsidy.
+    no-birth corner. Households outside ``ok`` are exactly those the scalar
+    route refuses; their values here mean nothing. Raises ValueError, as the
+    scalar route does, where a household pays ``paid > 0`` under a subsidy.
     """
     import numpy as np
 
@@ -443,15 +383,8 @@ def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
     # inf or NaN under errstate rather than raise.
     columns = [v if isinstance(v, np.ndarray) else np.float64(v)
                for v in (alpha, delta, gamma, a_w, a_m, paid)]
-    alpha, delta, gamma = columns[:3]
     with np.errstate(all="ignore"):
         _, rho, n, c_w, c_m, ok = _leader(_arrays(), *columns, subsidy)
-        # On the lanes of ok, c_w is a finite float at least a_w, c_m a
-        # normal float or a_m, and 0 <= n <= gamma/delta, so no utility term
-        # exceeds (1 + gamma)*_LN_RANGE + gamma + alpha*gamma/delta.
-        (_, a), (d, _), (_, g) = map(_span, (alpha, delta, gamma))
-        bound = (1.0 + g) * _LN_RANGE + g + a * g / d
-        ok = _finite_utilities(_linear_utilities, bound, ok, alpha, delta, gamma, c_w, c_m, n)
     if not np.ndim(rho):  # no household reached a transfer: all are refused
         n, rho = np.full(ok.shape, n), np.full(ok.shape, rho)
     return n, rho, c_w, c_m, ok

@@ -26,13 +26,14 @@ is solved over a slice at once, so that every n* and rho* is bit-identical
 to a scalar solve: the pooled budget as array expressions in the scalar
 operation order, and the leader condition that the transfer game, with or
 without a subsidy, shares with the extended model by the one body of
-:mod:`fertgames.extended` that also solves a single household. Each check of
-the scalar route (positive parameters, preference order, transfer, cubic
-range, consumption range, utility range) is an array mask, so the array
-route refuses exactly the households that the scalar route refuses. No
-utility is computed for the utility range where a bound from the
-preferences' extremes keeps every utility term finite, which holds unless
-a preference nears the float range. The first refused household of a
+:mod:`fertgames.extended` that also solves a single household. A population
+refuses what it cannot report. Each check of the scalar route on what
+``aggregate`` reports (positive parameters, preference order, transfer,
+cubic range, allocation range) is an array mask, as is a finite income
+ratio, so a household is refused where its scalar solve is, or where its
+income ratio overflows. Utilities, which ``aggregate`` does not report, are
+not computed, so a household whose scalar solve refuses only a utility
+beyond the float range is answered. The first refused household of a
 slice is not re-solved: the scalar route runs on it once, only to raise
 its error. A positive subsidy is solvable under the transfer game only. It
 is funded from general revenue: it raises the wife's effective per-child
@@ -54,6 +55,7 @@ from .core import (
     PARAM_NAMES,
     ModelParams,
     Record,
+    _normal,
     _record,
     benchmark_solve,
     check_subsidy,
@@ -61,7 +63,7 @@ from .core import (
     pooled_allocation,
 )
 from .errors import HouseholdSolveFailure, InvalidDistribution, ModelError, NumericalFailure
-from .extended import _LN_RANGE, _finite_utilities, _span, leader_optima, solve_extended
+from .extended import leader_optima, solve_extended
 from .game import solve_game
 
 if TYPE_CHECKING:
@@ -244,10 +246,11 @@ def _solve_household(spec: PopulationSpec, p: ModelParams):
 
 def _refuse(spec: PopulationSpec, p: ModelParams, index: int) -> None:
     """Raises HouseholdSolveFailure for household ``index``, which the array
-    route refused, caused by the scalar route's error, or by a
-    NumericalFailure if the scalar route answers it."""
+    route refused, caused by the scalar route's error, or by that of its
+    income ratio, or by a NumericalFailure if both answer it."""
     try:
         _solve_household(spec, p)
+        p.income_ratio
     except ModelError as exc:
         raise HouseholdSolveFailure(index, exc, p) from exc
     cause = NumericalFailure("the array route refuses a household the scalar route answers")
@@ -257,42 +260,22 @@ def _refuse(spec: PopulationSpec, p: ModelParams, index: int) -> None:
 def _solve_arrays(spec: PopulationSpec, alpha, delta, gamma, beta, a_w, a_m):
     """``(n, rho, ok)`` of a slice of households solved as arrays.
 
-    ``benchmark_solve`` runs as array expressions in its scalar operation
-    order, and the leader games run the body of ``leader_optimum`` on arrays,
-    so every n* and rho* (None for the benchmark model) has the scalar
-    route's bits. Households outside ``ok`` are those the scalar route
-    refuses.
+    ``benchmark_solve``'s allocation runs as array expressions in its scalar
+    operation order, and the leader games run the body of ``leader_optimum``
+    on arrays, so every n* and rho* (None for the benchmark model) has the
+    scalar route's bits. Households outside ``ok`` are those whose
+    ``pooled_allocation`` or ``leader_optimum`` refuses them: the scalar
+    solve's refusals, less those of a utility beyond the float range.
     """
     import numpy as np
 
     if spec.model == "benchmark":
         with np.errstate(all="ignore"):
             c_w, c_m, n = pooled_allocation(alpha, delta, gamma, beta, a_w, a_m)
-            # benchmark_solve requires alpha > delta and c_w, c_m and n
-            # positive and finite. Each utility term then sums logarithms of
-            # positive finite floats with weights of at most
-            # 2*(1 + alpha + gamma + delta) in magnitude in all.
-            ok = alpha > delta
-            for v in (c_w, c_m, n):
-                ok = ok & (0.0 < v) & (v < math.inf)
-            (_, a), (_, d), (_, g) = map(_span, (alpha, delta, gamma))
-            bound = 2.0 * (1.0 + a + g + d) * _LN_RANGE
-            ok = _finite_utilities(_log_utilities, bound, ok, alpha, delta, gamma, a_w,
-                                   c_w, c_m, n)
-        return n, None, ok
+        return n, None, (alpha > delta) & _normal(c_w) & _normal(c_m) & _normal(n)
     paid = beta if spec.model == "extended" else 0.0
     n, rho, _, _, ok = leader_optima(alpha, delta, gamma, a_w, a_m, paid, spec.subsidy)
     return n, rho, ok
-
-
-def _log_utilities(log, alpha, delta, gamma, a_w, c_w, c_m, n):
-    """The utilities that ``benchmark_solve`` checks and the logarithmic
-    terms they sum, in its operation order."""
-    wife, log_c_m, log_n = gamma * log(c_w), log(c_m), log(n)
-    u_w, own = wife - delta * log_n, gamma * log(a_w)
-    child, family = alpha * log_n, (alpha - delta) * log_n
-    return (wife, delta * log_n, own, child, family, u_w, log_c_m + child, u_w - own,
-            wife + log_c_m + family)
 
 
 def _left_sum(values: np.ndarray, total: float | None = None) -> float | None:
@@ -344,8 +327,9 @@ def _ratio_order(ratios: np.ndarray) -> np.ndarray:
 def aggregate(spec: PopulationSpec) -> AggregateReport:
     """Sample, solve and aggregate one population, one slice at a time.
 
-    The first household that the solve refuses raises HouseholdSolveFailure,
-    with its index and parameters and the scalar route's error as its cause,
+    The first household that the solve refuses, or whose income ratio
+    overflows, raises HouseholdSolveFailure, with its index and parameters
+    and the scalar route's error (or the income ratio's) as its cause,
     before the next slice is drawn. A population whose fertilities and
     income ratios, 16 bytes per household kept whole for the deciles, cannot
     be allocated beside the ``_RANK_BYTES`` per household that ranking them
@@ -372,12 +356,15 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
     for start, stop in _slices(count):
         columns = _draw(spec, start, stop)
         n_chunk, rho, ok = _solve_arrays(spec, *columns)
+        a_w, a_m = columns[4:]
+        chunk = slice(start, stop)
+        with np.errstate(over="ignore"):
+            ratios[chunk] = a_w / a_m
+        ok = ok & (ratios[chunk] < math.inf)
         if not ok.all():
             i = int(np.argmin(ok))
             _refuse(spec, _params(columns, i), start + i)
-        a_w, a_m = columns[4:]
-        chunk = slice(start, stop)
-        n[chunk], ratios[chunk] = n_chunk, a_w / a_m
+        n[chunk] = n_chunk
         transfers = n_chunk[:0] if rho is None else rho[n_chunk > 0]
         interior += len(transfers)
         sums = [_left_sum(v, total) for v, total in zip((n_chunk, ratios[chunk], transfers), sums)]

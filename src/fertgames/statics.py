@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 
-from .core import ModelParams, Record, _record, check_finite, replace
+from .core import ModelParams, Record, _normal, _record, check_finite, replace
 from .errors import BoundaryStatics, NumericalFailure
-from .extended import _normal, income_units
+from .extended import income_units
 from .game import GameEquilibrium, solve_game
 
 PARTIAL_KEYS = ("alpha", "delta", "gamma", "a_w", "a_m")

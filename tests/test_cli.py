@@ -1,5 +1,6 @@
 """Scenario parsing, command dispatch, exit codes, and golden files."""
 
+import math
 import os
 import shlex
 import shutil
@@ -117,16 +118,39 @@ class TestExitCodes:
         assert "parameter 'a_w' must be > 0" in out.err
 
     def test_population_with_overflowing_utility_is_three(self, tmp_path, capsys):
+        # Three from solve, which prints the utilities; population prints
+        # none of them, and answers.
         p = UTILITY_OVERFLOW
         scn = tmp_path / "overflow.scn"
         scn.write_text(
             f"model = game\nalpha = {p.alpha!r}\ndelta = {p.delta!r}\n"
             f"gamma = {p.gamma!r}\na_w = {p.a_w!r}\na_m = {p.a_m!r}\n")
+        assert run_command(["solve", str(scn)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "solver failure" in out.err
+        assert run_command(["population", str(scn), "--households", "3",
+                            "--aw-sigma", "0", "--am-sigma", "0"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        summary = out.out.splitlines()[1].split(",")
+        assert all(math.isfinite(float(cell)) for cell in summary if cell)
+        assert "inf" not in out.out
+
+    @pytest.mark.parametrize("model", ["benchmark", "game"])
+    def test_population_with_overflowing_income_ratio_is_three(self, tmp_path, capsys,
+                                                                model):
+        # Both models solve the household; its income ratio overflows.
+        scn = tmp_path / "ratio.scn"
+        scn.write_text(f"model = {model}\nalpha = 2\ndelta = 1\ngamma = 1\n"
+                       + "beta = 1\n" * (model == "benchmark")
+                       + "a_w = 8.5e220\na_m = 3e-248\n")
         assert run_command(["population", str(scn), "--households", "3",
                             "--aw-sigma", "0", "--am-sigma", "0"]) == 3
         out = capsys.readouterr()
         assert out.out == ""
-        assert "solver failure" in out.err
+        assert "solver failure: household 0 failed" in out.err
+        assert "income ratio inf" in out.err
 
     def test_missing_file_is_two(self, capsys):
         assert run_command(["solve", "no_such_file.scn"]) == 2

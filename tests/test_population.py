@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from fertgames import (
     solve_game,
 )
 from conftest import LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY, UTILITY_OVERFLOW
-from fertgames import extended, population
-from fertgames.core import replace
+from fertgames import population
+from fertgames.core import PARAM_NAMES, pooled_allocation, replace
 from fertgames.extended import leader_optima, leader_optimum
 from fertgames.population import _solve_arrays, _solve_household, sample_household
 
@@ -452,62 +453,60 @@ class TestAggregate:
     def test_unrepresentable_households_fail(self):
         # Incomes of 1e308 put the pooled budget beyond the float range; the
         # game's power-of-two scaling flushes an income of 1e-300 beside one
-        # of 1e30 to zero.
+        # of 1e30 to zero; incomes of 8.5e220 and 3e-248, which both models
+        # solve, give an income ratio beyond the float range.
         for spec in (point_spec(1e308, 1e308, count=3, model="benchmark"),
-                     point_spec(1e-300, 1e30, count=3)):
+                     point_spec(1e-300, 1e30, count=3),
+                     point_spec(8.5e220, 3e-248, count=3, model="benchmark"),
+                     point_spec(8.5e220, 3e-248, count=3)):
             with pytest.raises(HouseholdSolveFailure) as exc:
                 aggregate(spec)
             assert exc.value.index == 0
             assert isinstance(exc.value.__cause__, NumericalFailure)
 
-    @pytest.mark.parametrize("model,p,subsidy", [
+    UTILITY_OVERFLOWS = pytest.mark.parametrize("model,p,subsidy", [
         ("game", UTILITY_OVERFLOW, 0.0),
-        # gamma*ln(c_w) overflows in the pooled budget.
+        # gamma*ln(c_w) overflows in the pooled budget, whose n* of 1e-313
+        # is refused first.
         ("benchmark", ModelParams(2, 1, 1e307, 1e-10, 5e-17, 5e-17), 0.0),
         # gamma*ln(c_w) overflows in the leader games.
         ("extended", ModelParams(2, 1e307, 1e307, 1, 1e10, 3e10), 0.0),
         ("game", ModelParams(2, 1e307, 1e307, 1, 1e10, 3e10), 0.5),
-    ], ids=["game-p0", "benchmark-p1", "extended", "subsidized"])
+        # alpha*ln(n) overflows in the pooled budget, whose allocation is normal.
+        ("benchmark", ModelParams(1e307, 1, 1, 1e-10, 0.5, 0.5), 0.0),
+    ], ids=["game-p0", "benchmark-p1", "extended", "subsidized", "benchmark-alpha"])
+
+    @staticmethod
+    def utility_spec(model, p, subsidy):
+        return point_spec(p.a_w, p.a_m, count=3, model=model, alpha=p.alpha,
+                          delta=p.delta, gamma=p.gamma, beta=p.beta, subsidy=subsidy)
+
+    @UTILITY_OVERFLOWS
     def test_utility_beyond_float_range_fails(self, model, p, subsidy):
-        spec = point_spec(p.a_w, p.a_m, count=3, model=model, alpha=p.alpha,
-                          delta=p.delta, gamma=p.gamma, beta=p.beta,
-                          subsidy=subsidy)
+        # The scalar solve, which reports utilities, refuses each household.
+        spec = self.utility_spec(model, p, subsidy)
         with pytest.raises(NumericalFailure):
             _solve_household(spec, sample_household(spec, 0))
-        with pytest.raises(HouseholdSolveFailure) as exc:
-            aggregate(spec)
-        assert exc.value.index == 0
-        assert isinstance(exc.value.__cause__, NumericalFailure)
 
-    @pytest.mark.parametrize("model,alpha,delta,gamma,mu_w,mu_m", [
-        # The wife's utility at the corner, gamma*ln(a_w).
-        ("game", 1.0, 1e308, 1.286701652259962e308, 1.3971328409385726, 0.0),
-        ("game", 1.0, 1e308, 1.2926666397697605e308, 1.3906857959779226, 0.0),
-        # The husband's utility, ln(c_m) + alpha*ln(n).
-        ("benchmark", 3.0364720595541776e307, 1.5182360297770888e307, 1.0,
-         -6.3864045228386, math.log(1e-3)),
-        ("benchmark", 3.1635714523862646e307, 1.5817857261931323e307, 1.0,
-         -6.030162350418974, math.log(1e-3)),
-    ], ids=["game-1", "game-2", "benchmark-1", "benchmark-2"])
-    def test_utility_at_the_float_edge_decided_as_by_libm(self, model, alpha, delta, gamma,
-                                                          mu_w, mu_m):
-        # A utility within an ulp of the largest float, where numpy's log and
-        # libm's, which the scalar route takes, may differ in that ulp. With
-        # numpy 2.4 on x86-64 they do for each case; the scalar route refuses
-        # the first of each pair and answers the second.
-        spec = PopulationSpec(count=3, seed=0, aw_dist=LogNormalSpec(mu_w, 0.0),
-                              am_dist=LogNormalSpec(mu_m, 0.0), alpha=alpha, delta=delta,
-                              gamma=gamma, beta=1.0, model=model)
-        p = sample_household(spec, 0)
-        try:
-            n = _solve_household(spec, p).n_star
-        except NumericalFailure:
+    @UTILITY_OVERFLOWS
+    def test_population_does_not_refuse_a_utility(self, model, p, subsidy):
+        # aggregate reports no utility. It answers with the n* of
+        # leader_optimum or pooled_allocation, and refuses only a subnormal one.
+        spec = self.utility_spec(model, p, subsidy)
+        drawn = sample_household(spec, 0)
+        if model == "benchmark":
+            n = pooled_allocation(*(getattr(drawn, name) for name in PARAM_NAMES))[2]
+        else:
+            n = leader_optimum(drawn, drawn.beta if model == "extended" else 0.0, subsidy)[2]
+        if n < sys.float_info.min:
             with pytest.raises(HouseholdSolveFailure) as exc:
                 aggregate(spec)
             assert exc.value.index == 0
-            assert isinstance(exc.value.__cause__, NumericalFailure)
+            assert "pooled allocation" in str(exc.value.__cause__)
         else:
-            assert aggregate(spec).mean_fertility == (n + n + n) / 3
+            report = aggregate(spec)
+            assert report.mean_fertility == n
+            assert math.isfinite(report.mean_income_ratio)
 
     def test_household_failure_carries_index(self):
         # alpha < delta breaks the pooled-budget precondition.
@@ -618,13 +617,14 @@ class TestBatchedLeader:
         assert (seen_total["subsidized root"] > 0) == (subsidy > 0) and seen_total["corner"] > 0
         assert (seen_total["boundary"] > 0) == (subsidy > 0)
 
-    @pytest.mark.parametrize("subsidy", [0.0, 0.5], ids=["extended", "s=0.5"])
-    def test_households_the_scalar_route_refuses_are_left_to_it(self, subsidy):
+    @pytest.mark.parametrize("subsidy,game", [(0.0, False), (0.0, True), (0.5, False)],
+                             ids=["extended", "s=0", "s=0.5"])
+    def test_households_the_scalar_route_refuses_are_left_to_it(self, subsidy, game):
         columns = log_uniform_households([SEED_LEADER, 2], E150, 20_000)
-        *got, ok = batched_leader(columns, subsidy)
-        rows, _ = scalar_leader(columns, subsidy)
+        *got, ok = batched_leader(columns, subsidy, game)
+        rows, _ = scalar_leader(columns, subsidy, game)
         refused = np.array([row is None for row in rows])
-        assert refused.any() and not ok[refused].any()
+        assert refused.any() and (ok == ~refused).all()
         solved = np.flatnonzero(ok)
         for got_column, want_column in zip(got, zip(*(rows[i] for i in solved))):
             assert_same_bits(got_column[solved], want_column)
@@ -649,7 +649,7 @@ class TestBatchedLeader:
             assert (ok == batched_leader(columns, subsidy, game)[-1]).all()
             rows, _ = scalar_leader(columns, subsidy, game)
             rows_refused = np.array([row is None for row in rows])
-            assert not ok[rows_refused].any()
+            assert (ok == ~rows_refused).all()
             solved = np.flatnonzero(ok)
             for got_column, want_column in zip(got, zip(*(rows[i] for i in solved))):
                 assert_same_bits(got_column[solved], want_column)
@@ -713,23 +713,27 @@ class TestBatchedLeader:
 @pytest.mark.parametrize("model,subsidy", [
     ("benchmark", 0.0), ("game", 0.0), ("extended", 0.0), ("game", 0.5)])
 def test_array_route_answers_only_what_scalar_route_answers(model, subsidy):
-    # And refuses only what the scalar route refuses: aggregate does not
-    # solve a refused household again.
+    # And more only where the scalar solve refuses a utility, which
+    # aggregate does not report. It refuses only what the scalar route
+    # refuses: aggregate does not solve a refused household again.
     spec = point_spec(1.0, 1.0, model=model, subsidy=subsidy)
     columns = log_uniform_households([SEED_LEADER, 3], E150, 3000)
     ok = _solve_arrays(spec, *columns)[-1]
-    refused, answered = [], []
+    utilities, answered = [], []
     for i, lane_ok in enumerate(ok.tolist()):
         try:
             _solve_household(spec, ModelParams(*(float(c[i]) for c in columns)))
-        except ModelError:
+        except ModelError as exc:
             if lane_ok:
-                refused.append(i)
+                assert isinstance(exc, NumericalFailure)
+                assert str(exc).startswith("utilities not finite")
+                utilities.append(i)
         else:
             if not lane_ok:
                 answered.append(i)
-    assert ok.any() and refused == []
-    assert not ok.all() and answered == []
+    assert ok.any() and not ok.all() and answered == []
+    if model == "game" and not subsidy:
+        assert utilities
 
 
 @pytest.mark.parametrize("model,subsidy", [
@@ -759,42 +763,6 @@ def test_aggregate_reports_a_household_the_array_route_refuses(monkeypatch, mode
     assert isinstance(exc.value.__cause__, NumericalFailure)
     assert "the scalar route answers" in str(exc.value)
     assert slices == [64] * 4
-
-
-class TestUtilityBound:
-    """``_finite_utilities`` refuses what computing every utility term with
-    libm's log refuses, whether its bound decides or the terms do."""
-
-    # (alpha, delta, gamma) held fixed: the anchor, tiny values, gamma on
-    # each side of where the bound stops holding and where gamma*ln(c_w)
-    # overflows, and a leader term alpha*gamma/delta beyond the float range.
-    FIXED = [(2.0, 1.0, 1.0), (1e-300, 1e-300, 1e-300), (2.0, 1.0, 2.5e304),
-             (2.0, 1.0, 4e305), (2.0, 1.0, 1e307), (1e200, 1e-100, 1e10)]
-
-    @pytest.mark.parametrize("model,subsidy", [
-        ("benchmark", 0.0), ("game", 0.0), ("extended", 0.0), ("game", 0.5)])
-    def test_bound_refuses_as_the_full_check(self, monkeypatch, model, subsidy):
-        finite_utilities, held = extended._finite_utilities, []
-
-        def both(terms, bound, ok, *columns):
-            got = finite_utilities(terms, bound, ok.copy(), *columns)
-            # Every term, with libm's log lane by lane, as the scalar routes take it.
-            with np.errstate(all="ignore"):
-                values = terms(extended._arrays().log, *columns)
-            assert (got == ok & np.logical_and.reduce([np.isfinite(v) for v in values])).all()
-            held.append(bound < extended._HALF_MAX / 2)
-            return got
-
-        monkeypatch.setattr(extended, "_finite_utilities", both)
-        monkeypatch.setattr(population, "_finite_utilities", both)
-        spec = point_spec(1.0, 1.0, model=model, subsidy=subsidy)
-        for j, digits in enumerate((2, 10, 150, 300)):
-            columns = log_uniform_households([SEED_LEADER, 5, j], math.log(10.0**digits), 2000)
-            _solve_arrays(spec, *columns)  # ranged preferences
-            for alpha, delta, gamma in self.FIXED:
-                _solve_arrays(spec, alpha, delta, gamma, 1.0, *columns[4:])
-        assert len(held) == 4 * (1 + len(self.FIXED))
-        assert any(held) and not all(held)
 
 
 class TestRatioOrder:

@@ -60,6 +60,8 @@ UNDERFLOWED_CELL = ModelParams(
     a_w=1.845061610542952e-132, a_m=1.3045932075213852e+111)
 # An interior game whose statics radicand (alpha*a_w/2 + rho*)**2 is 9e400.
 UNREPRESENTABLE = ModelParams(2, 1, 1, 1, 1e200, 3e200)
+# A pooled fertility of 6.6667e-321, subnormal: 6.665e-321 kept only 4 digits.
+SUBNORMAL_FERTILITY = ModelParams(2, 1, 1, 1e20, 1e-300, 1e-300)
 
 
 def floats(value):
@@ -99,6 +101,7 @@ def test_finite_or_model_error(decades):
     (build_report, UNREPRESENTABLE),
     # A step of 1e-6 times a_m rounds to zero.
     (lambda p: fd_check(p, "rho", "a_m"), ModelParams(2, 1, 1, 1, 1, 5e-324)),
+    (benchmark_solve, SUBNORMAL_FERTILITY),
 ])
 def test_numerical_failure(route, p):
     with pytest.raises(NumericalFailure):
@@ -112,6 +115,7 @@ def test_numerical_failure(route, p):
     ("solve", "benchmark", BUDGET_OVERFLOW),
     ("solve", "benchmark", CONSUMPTION_UNDERFLOW),
     ("statics", "game", UNREPRESENTABLE),
+    ("solve", "benchmark", SUBNORMAL_FERTILITY),
 ])
 def test_cli_exit_three(tmp_path, capsys, command, model, p):
     scn = tmp_path / "range.scn"
