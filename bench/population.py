@@ -5,14 +5,14 @@ Usage (from the repository root):
     python3 bench/population.py [--quick]
 
 Writes ``BENCH_population.json`` at the repository root and prints one line
-per point. A point is one model at one population size, in the
-configuration of CI's population memory smoke: seed 11, incomes
-``LogNormal(0, 0.5)`` and ``LogNormal(ln 3, 0.5)``, ``alpha`` uniform on
-[1.5, 3], the other preferences 1, and the game with and without a subsidy
-of 0.5, the extended model and the benchmark model. The file's header names
-the commit, whether the source differs from it, and ``src_sha256``, a
-digest of the measured ``src/fertgames/*.py`` that identifies the code even
-where it was not committed.
+per point. A point is one model at one population size, in one
+configuration: seed 11, incomes ``LogNormal(0, 0.5)`` and
+``LogNormal(ln 3, 0.5)``, ``alpha`` uniform on [1.5, 3], the other
+preferences 1, and the game with and without a subsidy of 0.5, the extended
+model and the benchmark model. The file's header names the commit, whether
+the source differs from it, and ``src_sha256``, a digest of the measured
+``src/fertgames/*.py`` that identifies the code even where it was not
+committed.
 
 Every run of a point is a fresh interpreter, pinned to one CPU, that loads
 numpy and the program from this checkout's ``src``, times one
@@ -24,9 +24,13 @@ it; at 10^3 to 10^4 households the set-up is most of the first call. Each
 point runs ``REPEATS`` times, with the points interleaved so that a slow
 stretch of a shared host falls on all of them; the file reports the median
 and the quartiles of both wall times and the median peak RSS of the first
-call. ``--quick``
-runs 10^3 and 10^4 households once each, only to keep the script working,
-and prints the JSON document instead of writing it.
+call. ``--quick`` runs 10^3 and 10^6 households once per model and prints
+the JSON document instead of writing it.
+
+``aggregate`` walks a population in slices, so its memory does not grow
+with the count: the script exits non-zero, naming each point, where a
+first call's peak RSS exceeds ``RSS_BOUND_MB`` in any run. Wall times are
+not bounded.
 """
 
 from __future__ import annotations
@@ -48,8 +52,10 @@ OUT = os.path.join(ROOT, "BENCH_population.json")
 
 CASES = (("game", 0.0), ("extended", 0.0), ("game", 0.5), ("benchmark", 0.0))
 COUNTS = (10**3, 10**4, 10**5, 10**6)
-QUICK_COUNTS = (10**3, 10**4)
+QUICK_COUNTS = (10**3, 10**6)
 REPEATS = 5
+# Bound on the peak RSS of a first aggregate call, in MB, at every point.
+RSS_BOUND_MB = 80
 
 # One run: argv is model, subsidy, households, CPU. Prints the first
 # aggregate call's wall time in seconds, the process's peak RSS in KiB
@@ -126,7 +132,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="10^3 and 10^4 households, one run each, printed, not written")
+                        help="10^3 and 10^6 households, one run each, printed, not written")
     args = parser.parse_args()
     counts, repeats = (QUICK_COUNTS, 1) if args.quick else (COUNTS, REPEATS)
     cpu = max(os.sched_getaffinity(0))
@@ -137,11 +143,15 @@ def main() -> None:
         for point in points:
             runs[point].append(run(*point, cpu))
 
-    rows = []
+    rows, over = [], []
     for (model, subsidy, count), results in runs.items():
         q1, median, q3 = quartiles([seconds for seconds, _, _ in results])
         w1, warm, w3 = quartiles([seconds for _, _, seconds in results])
         rss = statistics.median(mb for _, mb, _ in results)
+        peak = max(mb for _, mb, _ in results)
+        if peak > RSS_BOUND_MB:
+            over.append(f"{model} subsidy {subsidy} at {count:,} households: "
+                        f"peak RSS {peak:.1f} MB > {RSS_BOUND_MB} MB")
         rows.append({"model": model, "subsidy": subsidy, "households": count,
                      "seconds_median": median, "seconds_q1": q1, "seconds_q3": q3,
                      "warm_seconds_median": warm, "warm_seconds_q1": w1,
@@ -154,9 +164,11 @@ def main() -> None:
     document = json.dumps({"header": header(cpu, repeats, source), "points": rows}, indent=1)
     if args.quick:  # keep the committed measurement
         print(document)
-        return
-    with open(OUT, "w") as f:
-        f.write(document + "\n")
+    else:
+        with open(OUT, "w") as f:
+            f.write(document + "\n")
+    if over:
+        sys.exit("population memory bound exceeded:\n" + "\n".join(over))
 
 
 if __name__ == "__main__":

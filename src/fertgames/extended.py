@@ -288,27 +288,22 @@ def _leader(x, alpha, delta, gamma, a_w, a_m, paid, subsidy):
         raise ValueError("a leader solve takes a rearing cost or a subsidy, not both")
     g = gamma / delta
     k = paid - subsidy
-    zero, cubic = k == 0.0, k != 0.0
-    r, ok = math.nan, True
-    if x.any(zero):
+    if not x.any(k):  # transfer_root's ok holds a normal transfer
         r, ok = transfer_root(x, alpha, delta, gamma, a_w, a_m)
-        ok = ok | cubic
-    if x.any(cubic):
+    else:
         ratio = a_w / a_m
         e, aw_e, am_e = _units(x, a_w, a_m)
         coeffs = _leader_cubic(g, alpha, aw_e, am_e, x.ldexp(k, -e))
-        cubic_ok = ((ratio > 0.0) & (ratio < math.inf)
-                    & (coeffs[0] != 0.0) & (coeffs[3] != 0.0))
-        if x.any(cubic_ok):
-            largest, cubic_ok = x.largest(coeffs, e, cubic_ok)
-            r = x.where(zero, r, largest) if x.any(zero) else largest
-        ok = ok & (zero | cubic_ok)
+        r, ok = math.nan, ((ratio > 0.0) & (ratio < math.inf)
+                           & (coeffs[0] != 0.0) & (coeffs[3] != 0.0))
+        if x.any(ok):
+            r, ok = x.largest(coeffs, e, ok)
+        ok = ok & (x.not_(r > subsidy) | _normal(r - subsidy))
     root = r
 
     found = r > subsidy  # where he pays at the root; narrowed to where the root wins
     n = c_m = u = 0.0
     if x.any(found):
-        ok = ok & ((r <= subsidy) | _normal(r - subsidy))
         n = g - a_w / r
         spent = (r + k) * n
         head = spent < 0.5 * a_m
@@ -370,7 +365,8 @@ def leader_optima(alpha, delta, gamma, a_w, a_m, paid, subsidy: float):
     """:func:`leader_optimum` over arrays of households, to the same bits.
 
     The arguments are arrays or floats, with at least one income an array;
-    ``subsidy`` is one float. A float is not broadcast: a preference fixed
+    ``subsidy`` is one float. A call takes one route, so ``paid`` is 0 for
+    every household or for none. A float is not broadcast: a preference fixed
     across the households stays one number through every step it enters.
     Returns the arrays ``(n, rho, c_w, c_m, ok)``, with ``rho`` NaN at the
     no-birth corner. Households outside ``ok`` are exactly those the scalar

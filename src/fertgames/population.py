@@ -31,7 +31,10 @@ refuses what it cannot report. Each check of the scalar route on what
 ``aggregate`` reports (positive parameters, preference order, transfer,
 cubic range, allocation range) is an array mask, as is a finite income
 ratio, so a household is refused where its scalar solve is, or where its
-income ratio overflows. Utilities, which ``aggregate`` does not report, are
+income ratio overflows. A mean is printed to 12 digits, so a mean beyond
+the float range, an income-ratio mean below its normal range, or another
+mean that is neither 0 nor normal raises NumericalFailure once every
+household is solved. Utilities, which ``aggregate`` does not report, are
 not computed, so a household whose scalar solve refuses only a utility
 beyond the float range is answered. The first refused household of a
 slice is not re-solved: the scalar route runs on it once, only to raise
@@ -214,11 +217,10 @@ def _draw(spec: PopulationSpec, start: int, stop: int) -> tuple:
             values[name] = np.exp(float(dist.mu) + float(dist.sigma) * normals[:, column])
     columns = tuple(values[name] for name in PARAM_NAMES)
 
-    # PopulationSpec has checked the fixed preferences.
-    valid = np.ones(stop - start, dtype=bool)
-    for column in columns:
-        if not isinstance(column, float):
-            valid &= np.isfinite(column) & (column > 0)
+    # PopulationSpec has checked the preferences, so a range's lo + (hi - lo)*u
+    # is finite and at least lo: only an income draw can leave the float range.
+    a_w, a_m = values["a_w"], values["a_m"]
+    valid = np.isfinite(a_w) & (a_w > 0) & np.isfinite(a_m) & (a_m > 0)
     if not valid.all():
         _params(columns, int(np.argmin(valid)))  # raises
     return columns
@@ -330,10 +332,13 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
     The first household that the solve refuses, or whose income ratio
     overflows, raises HouseholdSolveFailure, with its index and parameters
     and the scalar route's error (or the income ratio's) as its cause,
-    before the next slice is drawn. A population whose fertilities and
-    income ratios, 16 bytes per household kept whole for the deciles, cannot
-    be allocated beside the ``_RANK_BYTES`` per household that ranking them
-    takes raises InvalidDistribution before any household is drawn.
+    before the next slice is drawn. A mean beyond the float range, an
+    income-ratio mean below the normal range, or another mean that is
+    neither 0 nor normal raises NumericalFailure. A population whose
+    fertilities and income ratios, 16 bytes per household kept whole for the
+    deciles, cannot be allocated beside the ``_RANK_BYTES`` per household
+    that ranking them takes raises InvalidDistribution before any household
+    is drawn.
     """
     import numpy as np
 
@@ -353,39 +358,39 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
     # households with children are carried from slice to slice, so only n
     # and the ratios, which the deciles sort, are kept whole.
     sums, interior = [None, None, None], 0
-    for start, stop in _slices(count):
-        columns = _draw(spec, start, stop)
-        n_chunk, rho, ok = _solve_arrays(spec, *columns)
-        a_w, a_m = columns[4:]
-        chunk = slice(start, stop)
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a ratio or a mean beyond the range is refused
+        for start, stop in _slices(count):
+            columns = _draw(spec, start, stop)
+            n_chunk, rho, ok = _solve_arrays(spec, *columns)
+            a_w, a_m = columns[4:]
+            chunk = slice(start, stop)
             ratios[chunk] = a_w / a_m
-        ok = ok & (ratios[chunk] < math.inf)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            _refuse(spec, _params(columns, i), start + i)
-        n[chunk] = n_chunk
-        transfers = n_chunk[:0] if rho is None else rho[n_chunk > 0]
-        interior += len(transfers)
-        sums = [_left_sum(v, total) for v, total in zip((n_chunk, ratios[chunk], transfers), sums)]
-    fertility_sum, ratio_sum, transfer_sum = sums
-    # The fertilities in income-ratio order take the place of the ratios.
-    ranked = np.take(n, _ratio_order(ratios), out=ratios)
-    # Bucket b holds the ranks with rank*10//count == b.
-    bounds = [-(-b * count // 10) for b in range(11)]
-    decile_counts = tuple(bounds[b + 1] - bounds[b] for b in range(10))
-    decile_means = tuple(
-        _left_sum(ranked[bounds[b]:bounds[b + 1]]) / decile_counts[b]
-        if decile_counts[b] else math.nan
-        for b in range(10)
-    )
+            ok = ok & (ratios[chunk] < math.inf)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                _refuse(spec, _params(columns, i), start + i)
+            n[chunk] = n_chunk
+            transfers = n_chunk[:0] if rho is None else rho[n_chunk > 0]
+            interior += len(transfers)
+            sums = list(map(_left_sum, (n_chunk, ratios[chunk], transfers), sums))
+        fertility_sum, ratio_sum, transfer_sum = sums
+        # The fertilities in income-ratio order take the place of the ratios.
+        ranked = np.take(n, _ratio_order(ratios), out=ratios)
+        # Bucket b holds the ranks with rank*10//count == b.
+        bounds = [-(-b * count // 10) for b in range(11)]
+        decile_counts = tuple(bounds[b + 1] - bounds[b] for b in range(10))
+        decile_means = tuple(
+            _left_sum(ranked[bounds[b]:bounds[b + 1]]) / decile_counts[b]
+            if decile_counts[b] else math.nan
+            for b in range(10)
+        )
 
     notes = []
     if spec.subsidy > 0:
         notes.append(
             "subsidy funded from general revenue; no spousal budget deduction"
         )
-    return _record(
+    report = _record(
         AggregateReport,
         mean_fertility=fertility_sum / count,
         childless_share=int(np.count_nonzero(n <= 0.0)) / count,
@@ -395,3 +400,9 @@ def aggregate(spec: PopulationSpec) -> AggregateReport:
         decile_counts=decile_counts,
         notes=tuple(notes),
     )
+    # A mean is printed to 12 digits: it must be 0 or a normal float.
+    means = (report.mean_fertility, report.mean_transfer or 0.0,
+             *(mean for mean, size in zip(decile_means, decile_counts) if size))
+    if not (_normal(report.mean_income_ratio) and all(m == 0.0 or _normal(m) for m in means)):
+        raise NumericalFailure(f"a mean leaves the normal float range: {report!r}")
+    return report

@@ -9,6 +9,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import LEAD_OVERFLOW, LEAD_OVERFLOW_SUBSIDY, UTILITY_OVERFLOW
@@ -308,6 +309,79 @@ class TestExitCodes:
         assert run_command(["population", GAME_ANCHOR, "--households", "3"]) == 0
         deciles = capsys.readouterr().out.splitlines()[-10:]
         assert sum(row.endswith(",0,nan") for row in deciles) == 7
+
+
+def scenario_text(model: str, values: dict, subsidy: float = 0.0) -> str:
+    """A scenario of ``model`` with the parameters in ``values`` that it
+    reads (the game reads no beta) and, if nonzero, a subsidy."""
+    keys = ("alpha", "delta", "gamma") + ("beta",) * (model != "game") + ("a_w", "a_m")
+    lines = [f"model = {model}"] + [f"{key} = {values[key]!r}" for key in keys]
+    return "\n".join(lines + [f"subsidy = {subsidy!r}"] * bool(subsidy)) + "\n"
+
+
+# A population whose mean leaves the normal float range, with 1,000
+# households and both income sigmas at 0.01 unless noted: the mean income
+# ratio overflows, the mean transfer overflows, the mean fertility overflows,
+# and (with both sigmas 0) the mean income ratio is subnormal.
+MEAN_BEYOND_RANGE = {
+    "ratio_overflow": ("benchmark", dict(a_w=1e300, a_m=1e-7), 0.01),
+    "transfer_overflow": ("game", dict(a_w=1e306, a_m=1e307), 0.01),
+    "fertility_overflow": ("benchmark", dict(a_w=1e300, a_m=1e300, beta=1e-6), 0.01),
+    "ratio_subnormal": ("benchmark", dict(a_w=3e-200, a_m=8.5e120), 0.0),
+}
+
+
+class TestCliFuzz:
+    """Every subcommand on seeded scenarios at extreme spans, run in process:
+    no exception escapes, the exit code is 0, 2 or 3, stdout holds no
+    non-finite cell and stderr no warning."""
+
+    FUZZ_SEED = 20261022
+    MODELS = (("benchmark", 0.0), ("game", 0.0), ("game", 0.5), ("extended", 0.0))
+
+    @staticmethod
+    def commands(path: str, a_w: float) -> list[list[str]]:
+        return [["solve", path], ["threshold", path], ["statics", path],
+                ["sweep", path, "--param", "a_w", "--from", repr(a_w / 2),
+                 "--to", repr(2 * a_w), "--steps", "3"],
+                ["population", path, "--households", "300"]]
+
+    @staticmethod
+    def run_checked(capsys, argv: list[str]) -> int:
+        code = run_command(argv)
+        out = capsys.readouterr()
+        assert code in (0, 2, 3), (argv, code, out.err)
+        cells = [cell.strip().lower() for line in out.out.splitlines()
+                 for cell in line.split(",")]
+        assert not {"inf", "-inf", "nan"} & set(cells), (argv, out.out)
+        assert "Warning" not in out.err, (argv, out.err)
+        assert code == 0 or out.out == "", (argv, out.out)
+        return code
+
+    @pytest.mark.parametrize("decades", [10, 150, 300])
+    def test_every_subcommand_at_span(self, tmp_path, capsys, decades):
+        rng = np.random.default_rng([self.FUZZ_SEED, decades])
+        codes = []
+        for i in range(60):
+            model, subsidy = self.MODELS[i % len(self.MODELS)]
+            values = {name: float(10.0 ** rng.uniform(-decades, decades))
+                      for name in ("alpha", "delta", "gamma", "beta", "a_w", "a_m")}
+            path = tmp_path / f"fuzz{i}.scn"
+            path.write_text(scenario_text(model, values, subsidy))
+            codes += [self.run_checked(capsys, argv)
+                      for argv in self.commands(str(path), values["a_w"])]
+        # The draws reach answers as well as refusals.
+        assert 0 in codes and 2 in codes
+
+    @pytest.mark.parametrize("case", sorted(MEAN_BEYOND_RANGE))
+    def test_population_mean_beyond_range_is_three(self, tmp_path, capsys, case):
+        model, incomes, sigma = MEAN_BEYOND_RANGE[case]
+        values = dict(alpha=2.0, delta=1.0, gamma=1.0, beta=1.0) | incomes
+        path = tmp_path / "mean.scn"
+        path.write_text(scenario_text(model, values))
+        argv = ["population", str(path), "--households", "1000",
+                "--aw-sigma", repr(sigma), "--am-sigma", repr(sigma)]
+        assert self.run_checked(capsys, argv) == 3
 
 
 class TestGoldenFiles:

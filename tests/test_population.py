@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fertgames import (
     AggregateReport,
@@ -30,6 +32,8 @@ from fertgames.extended import leader_optima, leader_optimum
 from fertgames.population import _solve_arrays, _solve_household, sample_household
 
 POINT = LogNormalSpec(mu=0.0, sigma=0.0)
+# An end of a preference range that PopulationSpec admits: finite and positive.
+RANGE_END = st.floats(5e-324, 1.79e308)
 PREFS = ("alpha", "delta", "gamma", "beta")
 SEED_LEADER = 20251018
 
@@ -289,6 +293,18 @@ class TestBatchedSampling:
         with pytest.raises(NonPositiveParameter) as exc:
             sample_households(spec)
         assert (exc.value.field, exc.value.value) == ("a_w", first)
+
+    @given(st.lists(st.tuples(RANGE_END, RANGE_END).map(sorted), min_size=4, max_size=4),
+           st.integers(0, 2**64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_ranged_preferences_draw_finite_and_at_least_lo(self, ranges, seed):
+        # _draw checks only the incomes: a range that PopulationSpec admits
+        # draws lo + (hi - lo)*u, finite and at least lo.
+        spec = PopulationSpec(count=1000, seed=seed, aw_dist=POINT, am_dist=POINT,
+                              **{name: tuple(r) for name, r in zip(PREFS, ranges)})
+        columns = dict(zip(PARAM_NAMES, population._draw(spec, 0, spec.count)))
+        for name, (lo, _) in zip(PREFS, ranges):
+            assert np.isfinite(columns[name]).all() and (columns[name] >= lo).all()
 
     def test_count_of_two_to_the_32_rejected(self):
         with pytest.raises(InvalidDistribution):
